@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .constructions import _is_prime
 from .errors import GroupMismatch, NotInvariant, NotNormal, TrivialGroup
 from .group import Element, FiniteGroup
 
@@ -506,17 +507,6 @@ def quotient(group: FiniteGroup, n: ElementSet) -> QuotientMap:
 
 
 # -- structure predicates --------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def is_prime_power(n: int) -> bool:

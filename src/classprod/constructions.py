@@ -406,15 +406,19 @@ def _build_from_file(path: str, group_id: str, max_order: Optional[int]) -> Fini
     raise ValueError(f"unsupported group file {path!r} (expected .gens or .cayley)")
 
 
-_BUILD_CACHE: Dict[Tuple[str, Optional[int]], FiniteGroup] = {}
+_BUILD_CACHE: Dict[Tuple[str, int], FiniteGroup] = {}
 
 
 def build_group(spec: "GroupSpec | str", max_order: Optional[int] = None) -> FiniteGroup:
-    """Parse (if needed) and build, memoizing everything except file specs."""
+    """Parse (if needed) and build, memoizing everything except file specs.
+
+    The cache key holds the resolved order cap, so a later change to
+    CLASSPROD_MAX_ORDER is honored rather than served from the cache.
+    """
     parsed = GroupSpec.parse(spec) if isinstance(spec, str) else spec
     if parsed.kind == "from_file":
         return parsed.build(max_order=max_order)
-    key = (parsed.canonical(), max_order)
+    key = (parsed.canonical(), max_order_cap() if max_order is None else max_order)
     cached = _BUILD_CACHE.get(key)
     if cached is None:
         cached = parsed.build(max_order=max_order)

@@ -244,6 +244,11 @@ def close_from_generators(
     Discovery order is deterministic: the queue is seeded with the identity
     and neighbors are produced by right multiplication in generator-list
     order, so element indices depend only on the generator sequence.
+
+    The search also records the Cayley graph: right[k][i] is the index of
+    elems[i] * gens[k], and element b was first reached as
+    elems[parent[b]] * gens[via[b]]. The table then follows one column at a
+    time, a * b = (a * parent[b]) * gens[via[b]], as a gather over all a.
     """
     if not gens:
         raise InvalidPermutation("at least one generator is required")
@@ -256,24 +261,36 @@ def close_from_generators(
     identity = Permutation.identity(degree)
     elems: List[Permutation] = [identity]
     index: Dict[Tuple[int, ...], int] = {identity.images: 0}
-    queue = deque([identity])
+    parent, via = [0], [0]
+    right: List[List[int]] = [[] for _ in gens]
+    queue = deque([0])
     while queue:
-        p = queue.popleft()
-        for g in gens:
+        i = queue.popleft()
+        p = elems[i]
+        for k, g in enumerate(gens):
             q = p * g
-            if q.images not in index:
+            j = index.get(q.images)
+            if j is None:
                 if len(elems) >= cap:
                     raise OrderExceeded(
                         f"closure of {group_id!r} exceeds the order cap {cap}"
                     )
-                index[q.images] = len(elems)
+                j = index[q.images] = len(elems)
                 elems.append(q)
-                queue.append(q)
+                parent.append(i)
+                via.append(k)
+                queue.append(j)
+            right[k].append(j)
 
-    table = [[index[(p * q).images] for q in elems] for p in elems]
+    n = len(elems)
+    steps = np.asarray(right, dtype=np.int32)
+    columns = np.empty((n, n), dtype=np.int32)  # columns[b][a] = a * b
+    columns[0] = np.arange(n, dtype=np.int32)
+    for b in range(1, n):
+        columns[b] = steps[via[b]][columns[parent[b]]]
     names = [p.cycle_string() for p in elems]
     gen_indices = tuple(index[g.images] for g in gens)
-    return FiniteGroup(table, group_id, element_names=names, generator_indices=gen_indices)
+    return FiniteGroup(columns.T, group_id, element_names=names, generator_indices=gen_indices)
 
 
 # -- construction from a raw table --------------------------------------
@@ -287,10 +304,10 @@ def from_cayley_table(
 ) -> FiniteGroup:
     """Validate a raw multiplication table and wrap it as a FiniteGroup.
 
-    Checks, in order: shape and entry range, a two-sided identity, full
-    associativity (the cubic loop, vectorized per row block), and two-sided
-    inverses. Elements are then relabeled so the identity is index 0; other
-    elements keep their relative order.
+    Checks, in order: shape and entry range, a two-sided identity,
+    associativity (Light's test, with the cubic scan naming the first
+    failing triple), and two-sided inverses. Elements are then relabeled so
+    the identity is index 0; other elements keep their relative order.
     """
     n = len(rows)
     if n == 0:
@@ -298,6 +315,53 @@ def from_cayley_table(
     cap = max_order_cap() if max_order is None else max_order
     if n > cap:
         raise OrderExceeded(f"table of order {n} exceeds the order cap {cap}")
+    t = _table_array(rows, n)
+
+    ar = np.arange(n)
+    two_sided = (t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0)
+    if not two_sided.any():
+        raise NoIdentity("no two-sided identity element")
+    e = int(np.argmax(two_sided))
+
+    if not _light_test(t, e):
+        _cubic_associativity(t)  # undecided: name the first failing triple, or pass
+
+    is_e = t == e
+    y = is_e.argmax(axis=1)  # the first y with x*y = e, if there is one
+    ok = is_e[ar, y] & (t[y, ar] == e)
+    if not ok.all():
+        raise NoInverse(int(np.argmin(ok)))
+
+    names = list(element_names) if element_names is not None else None
+    if e != 0:
+        old_order = np.r_[e, 0:e, e + 1 : n]
+        new_of_old = np.empty(n, dtype=np.int32)
+        new_of_old[old_order] = ar
+        t = new_of_old[t[np.ix_(old_order, old_order)]]
+        if names is not None:
+            names = [names[old] for old in old_order.tolist()]
+    return FiniteGroup(t, group_id, element_names=names)
+
+
+def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """rows as an n x n int32 array; ValueError names the first bad row or entry.
+
+    A well-formed integer table converts in one step. Anything else (ragged
+    rows, bools, floats, ints past int64) takes the per-entry loop, which
+    decides exactly which rows and entries are accepted.
+    """
+    try:
+        arr = np.array(rows)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if (
+        arr is not None
+        and arr.shape == (n, n)
+        and arr.dtype.kind in "iu"
+        and arr.min() >= 0
+        and arr.max() < n
+    ):
+        return arr.astype(np.int32)
     table = [list(r) for r in rows]
     for i, row in enumerate(table):
         if len(row) != n:
@@ -305,45 +369,45 @@ def from_cayley_table(
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValueError(f"row {i} contains entry {v!r} outside 0..{n - 1}")
+    return np.asarray(table, dtype=np.int32)
 
-    ident_row = list(range(n))
-    e = None
-    for i in range(n):
-        if table[i] == ident_row and all(table[x][i] == x for x in range(n)):
-            e = i
-            break
-    if e is None:
-        raise NoIdentity("no two-sided identity element")
 
-    t = np.asarray(table, dtype=np.int32)
-    for a in range(n):
+def _light_test(t: np.ndarray, e: int) -> bool:
+    """True when Light's test proves the table associative.
+
+    The middles b with (x*b)*y == x*(b*y) for all x, y include the identity
+    e and are closed under products. So if they include a set S whose
+    right-multiplication closure of {e} is the whole table, every triple
+    associates. S is chosen greedily, least unreached element first; each
+    pick at least doubles the closure in a group, so a group needs at most
+    log2(n) of them. False means undecided: some s failed, or S grew past
+    n.bit_length() elements.
+    """
+    n = len(t)
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = True
+    gens: List[int] = []
+    while not reached.all():
+        if len(gens) == n.bit_length():
+            return False
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = t[np.ix_(frontier, gens)].ravel()
+            frontier = np.unique(step[~reached[step]])
+            reached[frontier] = True
+    # (x*s)*y against x*(s*y), over all x, y
+    return all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens)
+
+
+def _cubic_associativity(t: np.ndarray) -> None:
+    """Raise NotAssociative for the first failing triple (a, b, c), a-major."""
+    for a in range(len(t)):
         left = t[t[a]]       # (a*b)*c over all b, c
         right = t[a][t]      # a*(b*c)
         if not np.array_equal(left, right):
             b, c = map(int, np.argwhere(left != right)[0])
             raise NotAssociative(a, b, c)
-
-    for x in range(n):
-        row = table[x]
-        try:
-            y = row.index(e)
-        except ValueError:
-            raise NoInverse(x) from None
-        if table[y][x] != e:
-            raise NoInverse(x)
-
-    names = list(element_names) if element_names is not None else None
-    if e != 0:
-        old_order = [e] + [i for i in range(n) if i != e]
-        new_of_old = [0] * n
-        for new, old in enumerate(old_order):
-            new_of_old[old] = new
-        table = [
-            [new_of_old[table[a][b]] for b in old_order] for a in old_order
-        ]
-        if names is not None:
-            names = [names[old] for old in old_order]
-    return FiniteGroup(table, group_id, element_names=names)
 
 
 def cayley_rows(group: FiniteGroup) -> List[List[int]]:

@@ -71,6 +71,8 @@ class CatalogEntry:
     spec_text: str
     spec: GroupSpec
     source: str  # "builtin" or the contributing file path
+    # the group ingest() already built and validated; sequential scans reuse it
+    group: Optional[FiniteGroup] = field(default=None, compare=False, repr=False)
 
     @property
     def canonical(self) -> str:
@@ -100,9 +102,10 @@ class Catalog:
 def ingest(directory: str, include_builtins: bool = True, order_cap: Optional[int] = None) -> Catalog:
     """Catalog from a directory of .gens/.cayley files, plus the built-ins.
 
-    Each file is built once up front; files that fail to parse, violate the
-    group axioms, or exceed the order cap land in catalog.failures instead
-    of aborting the ingest. Entries are deduplicated on canonical spec.
+    Each file is built once up front and its entry keeps the group for a
+    sequential scan; files that fail to parse, violate the group axioms, or
+    exceed the order cap land in catalog.failures instead of aborting the
+    ingest. Entries are deduplicated on canonical spec.
     """
     cap = max_order_cap() if order_cap is None else order_cap
     catalog = Catalog.builtin(order_cap=cap) if include_builtins else Catalog(entries=[], order_cap=cap)
@@ -115,14 +118,16 @@ def ingest(directory: str, include_builtins: bool = True, order_cap: Optional[in
         spec_text = f"file:{path}"
         try:
             spec = GroupSpec.parse(spec_text)
-            build_group(spec, max_order=cap)
+            group = build_group(spec, max_order=cap)
         except Exception as exc:  # collected, not fatal: bad files are data
             catalog.failures.append({"path": path, "error": f"{type(exc).__name__}: {exc}"})
             continue
         if spec.canonical() in seen:
             continue
         seen.add(spec.canonical())
-        catalog.entries.append(CatalogEntry(spec_text=spec_text, spec=spec, source=path))
+        catalog.entries.append(
+            CatalogEntry(spec_text=spec_text, spec=spec, source=path, group=group)
+        )
     return catalog
 
 
@@ -240,10 +245,22 @@ def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> L
     return rows
 
 
-def _scan_one(args: Tuple[str, bool, int]) -> List[dict]:
+def _scan_one(args: Tuple[str, bool, int], group: Optional[FiniteGroup] = None) -> List[dict]:
     spec_text, require_equal, cap = args
-    group = build_group(spec_text, max_order=cap)
+    if group is None:
+        group = build_group(spec_text, max_order=cap)
     return [row.to_dict() for row in scan_group(group, require_equal)]
+
+
+def pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
+    """Worker processes worth starting: no more than there are tasks or CPUs.
+
+    workers < 1 is rejected with ValueError. A result of 1 or less means
+    the scan runs in-process.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return min(workers, tasks, cpus or 1)
 
 
 def scan_homogeneous(
@@ -253,18 +270,20 @@ def scan_homogeneous(
 ) -> List[ScanRow]:
     """Scan every catalog group; canonical (order, id, a, b) row order.
 
-    workers > 1 fans groups out to separate processes; the merge re-sorts,
-    so the result is identical to a sequential run.
+    workers > 1 fans groups out to separate processes, at most one per group
+    and per CPU; the merge re-sorts, so the result is identical to a
+    sequential run. A sequential run reuses the groups ingest() built.
     """
     tasks = [(e.spec_text, require_equal_centralizers, catalog.order_cap) for e in catalog.entries]
+    size = pool_size(workers, len(tasks), os.cpu_count())
     results: List[dict] = []
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             for chunk in pool.map(_scan_one, tasks):
                 results.extend(chunk)
     else:
-        for task in tasks:
-            results.extend(_scan_one(task))
+        for entry, task in zip(catalog.entries, tasks):
+            results.extend(_scan_one(task, entry.group))
     rows = [ScanRow.from_dict(d) for d in results]
     rows.sort(key=ScanRow.sort_key)
     return rows

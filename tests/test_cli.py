@@ -213,3 +213,11 @@ class TestConstructCommand:
     def test_even_n_exit_2(self, capsys):
         code, _, err = run(capsys, "construct", "--n", "6")
         assert code == 2 and err
+
+
+class TestScanWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_exit_2(self, capsys, workers):
+        code, out, err = run(capsys, "scan", "--no-builtins", "--workers", workers)
+        assert code == 2 and not out
+        assert f"workers must be at least 1, got {workers}" in err

@@ -239,3 +239,12 @@ class TestOddWitness:
         g, a = odd_eta1_witness(15)
         assert g.order == 27 * 125
         assert conjugacy_class(a).size == 15
+
+
+class TestBuildCacheCap:
+    def test_later_cap_change_is_honored(self, monkeypatch):
+        monkeypatch.delenv("CLASSPROD_MAX_ORDER", raising=False)
+        assert build_group("sym:5").order == 120
+        monkeypatch.setenv("CLASSPROD_MAX_ORDER", "100")
+        with pytest.raises(OrderExceeded):
+            build_group("sym:5")

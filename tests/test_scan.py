@@ -8,6 +8,7 @@ from classprod import (
     build_group,
     save_cayley,
 )
+from classprod import scan as scan_module
 from classprod.constructions import GroupSpec
 from classprod.scan import (
     BUILTIN_SPECS,
@@ -19,6 +20,7 @@ from classprod.scan import (
     group_flags,
     ingest,
     open_question_scan,
+    pool_size,
     read_jsonl,
     scan_group,
     scan_homogeneous,
@@ -205,3 +207,44 @@ class TestSerialization:
         s = summarize([])
         assert s["total_rows"] == 0
         assert format_summary(s)
+
+
+class TestPoolSize:
+    def test_clamped_to_tasks_and_cpus(self):
+        assert pool_size(64, 3, 8) == 3
+        assert pool_size(64, 100, 2) == 2
+        assert pool_size(4, 27, 8) == 4
+        assert pool_size(1, 27, 8) == 1
+        assert pool_size(4, 0, 8) == 0
+
+    def test_unknown_cpu_count_means_in_process(self):
+        assert pool_size(4, 27, None) == 1
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_rejected(self, workers):
+        with pytest.raises(ValueError):
+            pool_size(workers, 27, 8)
+
+
+class TestIngestBuildsOnce:
+    def test_sequential_scan_reuses_the_ingested_group(self, tmp_path, groups, monkeypatch):
+        save_cayley(groups["sym:3"], str(tmp_path / "s3.cayley"))
+        (tmp_path / "c4.gens").write_text("degree 4\ngen (1 2 3 4)\n")
+        (tmp_path / "bad.cayley").write_text("2\n0 0\n0 0\n")
+        builds = []
+        real = scan_module.build_group
+        monkeypatch.setattr(
+            scan_module, "build_group", lambda *a, **k: builds.append(a[0]) or real(*a, **k)
+        )
+        cat = ingest(str(tmp_path), include_builtins=False)
+        rows = scan_homogeneous(cat, workers=1)
+        assert len(builds) == 3  # one per file, the failing one included
+        assert {r.group_id for r in rows} == {"file:s3.cayley", "file:c4.gens"}
+        assert [f["error"] for f in cat.failures] == [
+            "NoIdentity: no two-sided identity element"
+        ]
+
+    def test_carried_group_is_not_compared(self, groups):
+        spec = GroupSpec.parse("sym:3")
+        plain = CatalogEntry("sym:3", spec, "builtin")
+        assert CatalogEntry("sym:3", spec, "builtin", group=groups["sym:3"]) == plain
