@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .constructions import _is_prime
 from .errors import GroupMismatch, NotInvariant, NotNormal, TrivialGroup
 from .group import Element, FiniteGroup
@@ -171,28 +173,41 @@ class QuotientMap:
 
 # -- class table ---------------------------------------------------------
 
+# Rows per block of the centralizer compare; its boolean block is 1 MiB at
+# the order cap, against 16 MiB for the whole table at once.
+_BLOCK_ROWS = 256
+
+
+def _mask_of(indices: np.ndarray, n: int) -> int:
+    """The bitmask of a set of indices below n."""
+    member = np.zeros(n, dtype=bool)
+    member[indices] = True
+    return int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
+
+
+def _conjugates(group: FiniteGroup, a: int) -> np.ndarray:
+    """a^g = g^-1 * a * g for every g, in g order."""
+    inv = group._cache.get("np_inverse")
+    if inv is None:
+        inv = group._cache["np_inverse"] = np.asarray(group.inverse_table)
+    t = group.np_table()
+    return t[t[inv, a], np.arange(group.order)]
+
 
 def _class_data(group: FiniteGroup) -> Tuple[Tuple[ConjugacyClass, ...], List[int]]:
     cached = group._cache.get("class_data")
     if cached is not None:
         return cached
     n = group.order
-    table = group.table
-    invt = group.inverse_table
-    class_id = [-1] * n
+    class_id = np.full(n, -1, dtype=np.int64)
     classes: List[ConjugacyClass] = []
     for i in range(n):
         if class_id[i] >= 0:
             continue
-        row_of = table
-        orbit = {row_of[row_of[invt[g]][i]][g] for g in range(n)}
-        cid = len(classes)
-        mask = 0
-        for x in orbit:
-            class_id[x] = cid
-            mask |= 1 << x
-        classes.append(ConjugacyClass(Element(group, i), ElementSet(group, mask)))
-    data = (tuple(classes), class_id)
+        orbit = _conjugates(group, i)
+        class_id[orbit] = len(classes)
+        classes.append(ConjugacyClass(Element(group, i), ElementSet(group, _mask_of(orbit, n))))
+    data = (tuple(classes), class_id.tolist())
     group._cache["class_data"] = data
     return data
 
@@ -217,19 +232,17 @@ def centralizer(a: Element) -> ElementSet:
 
 
 def _centralizer_masks(group: FiniteGroup) -> List[int]:
+    """Bit g of masks[a] is set when a*g = g*a, compared a block of rows at a time."""
     cached = group._cache.get("centralizer_masks")
     if cached is not None:
         return cached
     n = group.order
-    table = group.table
-    invt = group.inverse_table
-    masks = [0] * n
-    for a in range(n):
-        m = 0
-        for g in range(n):
-            if table[table[invt[g]][a]][g] == a:
-                m |= 1 << g
-        masks[a] = m
+    t = group.np_table()
+    masks: List[int] = []
+    for a0 in range(0, n, _BLOCK_ROWS):
+        a1 = a0 + _BLOCK_ROWS  # slices stop at n
+        bits = np.packbits(t[a0:a1] == t[:, a0:a1].T, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in bits)
     group._cache["centralizer_masks"] = masks
     return masks
 
@@ -253,14 +266,9 @@ def commutator_set(a: Element) -> ElementSet:
     memo: Dict[int, int] = group._cache.setdefault("commutator_masks", {})
     mask = memo.get(a.index)
     if mask is None:
-        table = group.table
-        invt = group.inverse_table
-        i = a.index
-        ai = invt[i]
-        mask = 0
-        for g in range(group.order):
-            mask |= 1 << table[ai][table[table[invt[g]][i]][g]]
-        memo[a.index] = mask
+        t = group.np_table()
+        commutators = t[group.inverse_table[a.index], _conjugates(group, a.index)]
+        mask = memo[a.index] = _mask_of(commutators, group.order)
     return ElementSet(group, mask)
 
 

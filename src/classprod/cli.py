@@ -35,6 +35,7 @@ from .scan import (
     format_summary,
     ingest,
     open_question_scan,
+    pool_size,
     scan_homogeneous,
     summarize,
     write_jsonl,
@@ -260,6 +261,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    pool_size(args.workers, tasks=1, cpus=1)  # reject workers < 1 before any file is built
     if args.catalog:
         catalog = ingest(args.catalog, include_builtins=not args.no_builtins)
     elif args.no_builtins:

@@ -126,7 +126,7 @@ def quaternion8() -> FiniteGroup:
     for name, idx in named.items():
         names[idx] = name
     return FiniteGroup(
-        [list(r) for r in g.table],
+        g.np_table(),
         "q8",
         element_names=names,
         named_elements=named,
@@ -163,7 +163,7 @@ def extraspecial_p3(p: int, max_order: Optional[int] = None) -> FiniteGroup:
     inverse = ((-a % p) * (p * p) + (-b % p) * p + ((a * b - c) % p)).astype(np.int32)
     names = [f"({ai},{bi},{ci})" for ai, bi, ci in zip(a.tolist(), b.tolist(), c.tolist())]
     named = {name: i for i, name in enumerate(names)}
-    g = FiniteGroup(
+    return FiniteGroup(
         table,
         f"es:{p}",
         element_names=names,
@@ -171,8 +171,6 @@ def extraspecial_p3(p: int, max_order: Optional[int] = None) -> FiniteGroup:
         generator_indices=(p * p, p),  # (1,0,0) and (0,1,0)
         inverse_table=inverse.tolist(),
     )
-    g._cache["np_table"] = table
-    return g
 
 
 def direct_product(
@@ -188,27 +186,28 @@ def direct_product(
         raise OrderExceeded(
             f"prod({g.group_id},{k.group_id}) has order {n}, over the cap {cap}"
         )
-    gt = g.np_table().astype(np.int64)
-    kt = k.np_table().astype(np.int64)
-    ko = k.order
-    table = (gt[:, None, :, None] * ko + kt[None, :, None, :]).reshape(n, n).astype(np.int32)
-    ginv = np.asarray(g.inverse_table, dtype=np.int64)
-    kinv = np.asarray(k.inverse_table, dtype=np.int64)
-    inverse = (ginv[:, None] * ko + kinv[None, :]).reshape(n).astype(np.int32)
-    names = [f"({g.name_of(x)},{k.name_of(y)})" for x in range(g.order) for y in range(k.order)]
+    go, ko = g.order, k.order
+    table = np.empty((n, n), dtype=np.int32)
+    np.add(
+        g.np_table()[:, None, :, None] * ko,
+        k.np_table()[None, :, None, :],
+        out=table.reshape(go, ko, go, ko),
+    )
+    ginv = np.asarray(g.inverse_table, dtype=np.int32)
+    kinv = np.asarray(k.inverse_table, dtype=np.int32)
+    inverse = (ginv[:, None] * ko + kinv[None, :]).reshape(n)
+    names = [f"({g.name_of(x)},{k.name_of(y)})" for x in range(go) for y in range(ko)]
     gen_indices = tuple(gi * ko for gi in g.generator_indices) + tuple(
         int(ki) for ki in k.generator_indices
     )
     gid = group_id if group_id is not None else f"prod({g.group_id},{k.group_id})"
-    out = FiniteGroup(
+    return FiniteGroup(
         table,
         gid,
         element_names=names,
         generator_indices=gen_indices,
         inverse_table=inverse.tolist(),
     )
-    out._cache["np_table"] = table
-    return out
 
 
 def es_power(p: int, copies: int, max_order: Optional[int] = None) -> FiniteGroup:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from array import array
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,23 +36,34 @@ def max_order_cap() -> int:
     return cap
 
 
-def _as_row(row) -> array:
-    """One table row as a compact int array; 4 bytes per entry at any order."""
-    if isinstance(row, np.ndarray):
-        out = array("i")
-        out.frombytes(np.ascontiguousarray(row, dtype=np.int32).tobytes())
-        return out
-    return array("i", row)
+def _adopt_table(table) -> np.ndarray:
+    """table as an int32 C-order array that nothing else can write to.
+
+    A writable int32 C-contiguous array that owns its buffer is taken over
+    as is, so a builder can hand its result over without a copy; anything
+    else (lists, rows, other dtypes, views of a buffer the caller keeps) is
+    copied.
+    """
+    if (
+        isinstance(table, np.ndarray)
+        and table.dtype == np.int32
+        and table.flags.c_contiguous
+        and table.flags.writeable
+        and table.flags.owndata
+    ):
+        return table
+    return np.array(table, dtype=np.int32)
 
 
 class FiniteGroup:
     """A finite group on indices 0..order-1, index 0 being the identity.
 
-    The table is row major: table[a][b] is the product a*b. Elements are
-    ordered by construction: breadth-first discovery order for generator
-    input, canonicalized table order (identity moved to the front) for raw
-    table input. Instances are treated as immutable; derived data such as
-    conjugacy classes is cached on first use under _cache.
+    The table is one read-only int32 n x n array, np_table(); table[a] is
+    row a as a zero-copy memoryview of it, so table[a][b] is the product
+    a*b. Elements are ordered by construction: breadth-first discovery order
+    for generator input, canonicalized table order (identity moved to the
+    front) for raw table input. Instances are treated as immutable; derived
+    data such as conjugacy classes is cached on first use under _cache.
     """
 
     identity_index = 0
@@ -66,6 +76,7 @@ class FiniteGroup:
         "element_names",
         "named_elements",
         "generator_indices",
+        "_np_table",
         "_cache",
     )
 
@@ -81,22 +92,27 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise NoIdentity("empty multiplication table")
-        rows = [_as_row(r) for r in table]
-        if rows[0] != array("i", range(n)):
+        t = _adopt_table(table)
+        if t.shape != (n, n):
+            raise ValueError(f"table of {group_id!r} is not square: shape {t.shape}")
+        ar = np.arange(n)
+        if not np.array_equal(t[0], ar):
             raise NoIdentity(f"row 0 of {group_id!r} is not the identity row")
-        for i in range(n):
-            if rows[i][0] != i:
-                raise NoIdentity(f"column 0 of {group_id!r} is not the identity column")
+        if not np.array_equal(t[:, 0], ar):
+            raise NoIdentity(f"column 0 of {group_id!r} is not the identity column")
+        if inverse_table is None:
+            is_e = t == 0
+            inverse = is_e.argmax(axis=1)  # the first x with a*x = e, if there is one
+            found = is_e[ar, inverse]
+            if not found.all():
+                raise NoInverse(int(np.argmin(found)))
+            inverse_table = inverse.tolist()
+        t.setflags(write=False)
+        flat = memoryview(t.reshape(-1))
         self.order = n
         self.group_id = group_id
-        self.table = rows
-        if inverse_table is None:
-            inverse_table = [0] * n
-            for i, row in enumerate(rows):
-                try:
-                    inverse_table[i] = row.index(0)
-                except ValueError:
-                    raise NoInverse(i) from None
+        self._np_table = t
+        self.table = [flat[i * n : (i + 1) * n] for i in range(n)]
         self.inverse_table = list(inverse_table)
         if element_names is not None and len(element_names) != n:
             raise ValueError(f"expected {n} element names, got {len(element_names)}")
@@ -155,11 +171,8 @@ class FiniteGroup:
         return str(index)
 
     def np_table(self) -> np.ndarray:
-        cached = self._cache.get("np_table")
-        if cached is None:
-            cached = np.asarray(self.table, dtype=np.int32)
-            self._cache["np_table"] = cached
-        return cached
+        """The table itself: read-only, shared with the rows of self.table."""
+        return self._np_table
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.group_id!r}, order={self.order})"
@@ -284,13 +297,13 @@ def close_from_generators(
 
     n = len(elems)
     steps = np.asarray(right, dtype=np.int32)
-    columns = np.empty((n, n), dtype=np.int32)  # columns[b][a] = a * b
-    columns[0] = np.arange(n, dtype=np.int32)
+    t = np.empty((n, n), dtype=np.int32)
+    t[:, 0] = np.arange(n, dtype=np.int32)
     for b in range(1, n):
-        columns[b] = steps[via[b]][columns[parent[b]]]
+        t[:, b] = steps[via[b]][t[:, parent[b]]]
     names = [p.cycle_string() for p in elems]
     gen_indices = tuple(index[g.images] for g in gens)
-    return FiniteGroup(columns.T, group_id, element_names=names, generator_indices=gen_indices)
+    return FiniteGroup(t, group_id, element_names=names, generator_indices=gen_indices)
 
 
 # -- construction from a raw table --------------------------------------
@@ -338,9 +351,10 @@ def from_cayley_table(
         new_of_old = np.empty(n, dtype=np.int32)
         new_of_old[old_order] = ar
         t = new_of_old[t[np.ix_(old_order, old_order)]]
+        y = new_of_old[y[old_order]]
         if names is not None:
             names = [names[old] for old in old_order.tolist()]
-    return FiniteGroup(t, group_id, element_names=names)
+    return FiniteGroup(t, group_id, element_names=names, inverse_table=y.tolist())
 
 
 def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -361,7 +375,7 @@ def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
         and arr.min() >= 0
         and arr.max() < n
     ):
-        return arr.astype(np.int32)
+        return arr.astype(np.int32, copy=False)
     table = [list(r) for r in rows]
     for i, row in enumerate(table):
         if len(row) != n:
@@ -412,7 +426,7 @@ def _cubic_associativity(t: np.ndarray) -> None:
 
 def cayley_rows(group: FiniteGroup) -> List[List[int]]:
     """A fresh copy of the multiplication table, suitable for re-import."""
-    return [list(row) for row in group.table]
+    return group.np_table().tolist()
 
 
 # -- file formats --------------------------------------------------------
