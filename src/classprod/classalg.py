@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .constructions import _is_prime
 from .errors import GroupMismatch, NotInvariant, NotNormal, TrivialGroup
-from .group import Element, FiniteGroup
+from .group import Element, FiniteGroup, _require_same_group
 
 
 class ElementSet:
@@ -71,7 +73,7 @@ class ElementSet:
         return 0 <= i < self.group.order and (self.mask >> i) & 1 == 1
 
     def _require_same(self, other: "ElementSet") -> None:
-        if self.group.group_id != other.group.group_id:
+        if self.group is not other.group:
             raise GroupMismatch(
                 f"sets of different groups: {self.group_id!r} vs {other.group_id!r}"
             )
@@ -115,7 +117,7 @@ class ElementSet:
         return (
             isinstance(other, ElementSet)
             and self.mask == other.mask
-            and self.group.group_id == other.group.group_id
+            and self.group is other.group
         )
 
     def __hash__(self) -> int:
@@ -164,7 +166,7 @@ class QuotientMap:
     kernel: ElementSet
 
     def project(self, a: Element) -> Element:
-        if a.group.group_id != self.source.group_id:
+        if a.group is not self.source:
             raise GroupMismatch(
                 f"element of {a.group_id!r} projected along {self.source.group_id!r}"
             )
@@ -207,9 +209,38 @@ def _class_data(group: FiniteGroup) -> Tuple[Tuple[ConjugacyClass, ...], List[in
         orbit = _conjugates(group, i)
         class_id[orbit] = len(classes)
         classes.append(ConjugacyClass(Element(group, i), ElementSet(group, _mask_of(orbit, n))))
+    class_id.setflags(write=False)
+    group._cache["np_class_id"] = class_id
     data = (tuple(classes), class_id.tolist())
     group._cache["class_data"] = data
     return data
+
+
+def class_id_array(group: FiniteGroup) -> np.ndarray:
+    """The class id of every element, as a read-only array."""
+    _class_data(group)
+    return group._cache["np_class_id"]
+
+
+def _member_array(x: "ElementSet") -> np.ndarray:
+    """The membership vector of x: a bool array over the group's elements."""
+    n = x.group.order
+    raw = np.frombuffer(x.mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _class_counts(x: "ElementSet") -> Tuple[np.ndarray, np.ndarray]:
+    """x's membership vector, and how many members x has in each class."""
+    cid = class_id_array(x.group)
+    member = _member_array(x)
+    return member, np.bincount(cid[member], minlength=len(_class_data(x.group)[0]))
+
+
+def _class_sizes(group: FiniteGroup) -> np.ndarray:
+    sizes = group._cache.get("np_class_sizes")
+    if sizes is None:
+        sizes = group._cache["np_class_sizes"] = np.bincount(class_id_array(group))
+    return sizes
 
 
 def conjugacy_classes(group: FiniteGroup) -> Tuple[ConjugacyClass, ...]:
@@ -261,15 +292,24 @@ def centralizer_buckets(group: FiniteGroup) -> Dict[int, Tuple[int, ...]]:
 
 
 def commutator_set(a: Element) -> ElementSet:
-    """[a, G] = {a^-1 * a^g : g in G}."""
+    """[a, G] = {a^-1 * a^g : g in G}, which is a^-1 times the class of a."""
     group = a.group
     memo: Dict[int, int] = group._cache.setdefault("commutator_masks", {})
     mask = memo.get(a.index)
     if mask is None:
-        t = group.np_table()
-        commutators = t[group.inverse_table[a.index], _conjugates(group, a.index)]
+        members = _class_members(group, class_id_of(a))
+        commutators = group.np_table()[group.inverse_table[a.index], members]
         mask = memo[a.index] = _mask_of(commutators, group.order)
     return ElementSet(group, mask)
+
+
+def _class_members(group: FiniteGroup, i: int) -> np.ndarray:
+    """The members of class i, in index order."""
+    memo: Dict[int, np.ndarray] = group._cache.setdefault("class_members", {})
+    members = memo.get(i)
+    if members is None:
+        members = memo[i] = np.flatnonzero(class_id_array(group) == i)
+    return members
 
 
 def center(group: FiniteGroup) -> ElementSet:
@@ -307,18 +347,69 @@ def set_product(x: ElementSet, y: ElementSet) -> ElementSet:
     return ElementSet(x.group, mask)
 
 
+# -- class-support kernel ----------------------------------------------------
+#
+# a^G b^G is the union of the classes of a*y over y in b^G. For the
+# representative r of class i, the pairs (class of y, class of r*y) over all
+# y therefore give the class support of C_i C_j for every j at once: one
+# gather, class_id[T[r]], scattered into a k x k boolean. Each row i is built
+# on first use and kept sparse, as the sorted keys j*k + l of the classes l
+# in C_i C_j, so a row holds at most one key per element whatever the number
+# of classes k. (Class multiplication coefficients: Holt, Eick and O'Brien,
+# Handbook of Computational Group Theory, 2005, section 7.)
+
+
+class _ClassKernel:
+    __slots__ = ("eta", "keys")
+
+    def __init__(self, k: int):
+        self.eta = np.zeros((k, k), dtype=np.int32)  # rows filled as they are built
+        self.keys: List[Optional[np.ndarray]] = [None] * k
+
+
+def _kernel_row(group: FiniteGroup, i: int) -> _ClassKernel:
+    """The group's kernel with row i (the products C_i C_j) built."""
+    kernel = group._cache.get("class_kernel")
+    if kernel is None:
+        kernel = group._cache["class_kernel"] = _ClassKernel(len(_class_data(group)[0]))
+    if kernel.keys[i] is None:
+        classes = _class_data(group)[0]
+        cid = class_id_array(group)
+        k = len(classes)
+        support = np.zeros((k, k), dtype=bool)  # support[j, l]: C_l lies in C_i C_j
+        support[cid, cid[group.np_table()[classes[i].representative.index]]] = True
+        keys = np.flatnonzero(support)
+        kernel.eta[i] = np.bincount(keys // k, minlength=k)
+        kernel.keys[i] = keys.astype(np.int32)
+    return kernel
+
+
+def class_eta_matrix(group: FiniteGroup) -> np.ndarray:
+    """eta(C_i C_j) for every ordered pair of classes, as a read-only k x k array."""
+    kernel = None
+    for i in range(len(_class_data(group)[0])):
+        kernel = _kernel_row(group, i)
+    view = kernel.eta.view()
+    view.setflags(write=False)
+    return view
+
+
 def class_product(a: Element, b: Element) -> ElementSet:
-    """a^G * b^G, memoized per ordered pair of classes."""
-    if a.group.group_id != b.group.group_id:
-        raise GroupMismatch(f"elements of different groups: {a.group_id!r} vs {b.group_id!r}")
+    """a^G * b^G, the union of the class masks in the pair's support row."""
+    _require_same_group(a, b)
     group = a.group
     classes, class_id = _class_data(group)
-    key = (class_id[a.index], class_id[b.index])
+    i, j = class_id[a.index], class_id[b.index]
     memo: Dict[Tuple[int, int], int] = group._cache.setdefault("class_products", {})
-    mask = memo.get(key)
+    mask = memo.get((i, j))
     if mask is None:
-        mask = set_product(classes[key[0]].carrier, classes[key[1]].carrier).mask
-        memo[key] = mask
+        kernel = _kernel_row(group, i)
+        keys, first = kernel.keys[i], j * len(classes)
+        lo = int(keys.searchsorted(first))
+        mask = 0
+        for l in (keys[lo : lo + kernel.eta[i, j]] - first).tolist():
+            mask |= classes[l].carrier.mask
+        memo[(i, j)] = mask
     return ElementSet(group, mask)
 
 
@@ -326,21 +417,18 @@ def decompose(x: ElementSet) -> ClassDecomposition:
     """Split a conjugation-invariant set into its conjugacy classes.
 
     Raises NotInvariant with a witness pair (element, conjugator) if some
-    member has a conjugate outside the set.
+    member has a conjugate outside the set: the least such member, and the
+    least conjugator that moves it out.
     """
     group = x.group
-    classes, class_id = _class_data(group)
-    seen: Dict[int, None] = {}
-    for i in x:
-        cid = class_id[i]
-        if cid in seen:
-            continue
-        if not classes[cid].carrier.issubset(x):
-            for g in range(group.order):
-                if group.conj(i, g) not in x:
-                    raise NotInvariant(i, g)
-        seen[cid] = None
-    parts = tuple(sorted((classes[cid] for cid in seen), key=lambda c: c.representative.index))
+    classes = _class_data(group)[0]
+    member, counts = _class_counts(x)
+    partial = (counts > 0) & (counts < _class_sizes(group))
+    if partial.any():
+        i = int(np.argmax(member & partial[class_id_array(group)]))
+        g = int(np.argmin(member[_conjugates(group, i)]))
+        raise NotInvariant(i, g)
+    parts = tuple(classes[c] for c in np.flatnonzero(counts).tolist())
     return ClassDecomposition(source=x, classes=parts)
 
 
@@ -350,7 +438,11 @@ def eta(x: ElementSet) -> int:
 
 
 def eta_of_product(a: Element, b: Element) -> int:
-    return decompose(class_product(a, b)).eta
+    """eta(a^G b^G), read from the class-support kernel."""
+    _require_same_group(a, b)
+    class_id = _class_data(a.group)[1]
+    i = class_id[a.index]
+    return int(_kernel_row(a.group, i).eta[i, class_id[b.index]])
 
 
 # -- subgroup predicates --------------------------------------------------
@@ -380,23 +472,14 @@ def is_subgroup(s: ElementSet) -> bool:
 
 
 def is_normal(s: ElementSet) -> bool:
-    """A subgroup fixed by conjugation; checked by conjugating every member."""
+    """A subgroup that is a union of conjugacy classes."""
     if not is_subgroup(s):
         return False
-    group = s.group
-    memo: Dict[int, bool] = group._cache.setdefault("is_normal_memo", {})
+    memo: Dict[int, bool] = s.group._cache.setdefault("is_normal_memo", {})
     verdict = memo.get(s.mask)
     if verdict is None:
-        verdict = True
-        mask = s.mask
-        for g in range(group.order):
-            for x in s:
-                if not (mask >> group.conj(x, g)) & 1:
-                    verdict = False
-                    break
-            if not verdict:
-                break
-        memo[s.mask] = verdict
+        counts = _class_counts(s)[1]
+        verdict = memo[s.mask] = bool(np.all((counts == 0) | (counts == _class_sizes(s.group))))
     return verdict
 
 
@@ -489,29 +572,26 @@ def quotient(group: FiniteGroup, n: ElementSet) -> QuotientMap:
 
     The identity coset is N itself and lands at index 0.
     """
-    if n.group.group_id != group.group_id:
+    if n.group is not group:
         raise GroupMismatch(f"subgroup of {n.group_id!r} used with {group.group_id!r}")
     if not is_normal(n):
         raise NotNormal(f"not a normal subgroup of {group.group_id!r}: {sorted(n)}")
-    table = group.table
-    members = list(n)
-    coset_id = [-1] * group.order
-    reps: List[int] = []
-    for x in range(group.order):
-        if coset_id[x] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        row = table[x]
-        for s in members:
-            coset_id[row[s]] = cid
-    k = len(reps)
-    qtable = [[coset_id[table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+    t = group.np_table()
+    members = np.flatnonzero(_member_array(n))
+    least = np.full(group.order, group.order)  # least member of each coset xN
+    for s0 in range(0, len(members), _BLOCK_ROWS):
+        np.minimum(least, t[:, members[s0 : s0 + _BLOCK_ROWS]].min(axis=1), out=least)
+    reps = np.flatnonzero(least == np.arange(group.order))
+    coset_id = np.empty(group.order, dtype=np.int32)
+    coset_id[reps] = np.arange(len(reps))
+    coset_id = coset_id[least]
+    qtable = coset_id[t[np.ix_(reps, reps)]]
+    reps = reps.tolist()
     names = [f"[{group.name_of(r)}]" for r in reps]
-    smallest = members[1] if len(members) > 1 else 0
+    smallest = int(members[1]) if len(members) > 1 else 0
     qid = f"{group.group_id}/N{len(members)}m{smallest}"
     q = FiniteGroup(qtable, qid, element_names=names)
-    return QuotientMap(source=group, quotient=q, projection=tuple(coset_id), kernel=n)
+    return QuotientMap(source=group, quotient=q, projection=tuple(coset_id.tolist()), kernel=n)
 
 
 # -- structure predicates --------------------------------------------------
@@ -531,25 +611,49 @@ def is_prime_power(n: int) -> bool:
     return True
 
 
+def _element_orders(group: FiniteGroup) -> np.ndarray:
+    """The order of every element, by powering all of them at once."""
+    t = group.np_table()
+    orders = np.ones(group.order, dtype=np.int64)
+    pending = np.arange(1, group.order)
+    power = pending.copy()
+    k = 1
+    while pending.size:
+        k += 1
+        power = t[power, pending]
+        done = power == 0
+        orders[pending[done]] = k
+        pending, power = pending[~done], power[~done]
+    return orders
+
+
+def _commute(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether every element of x commutes with every element of y."""
+    return all(
+        np.array_equal(t[np.ix_(xs, y)], t[np.ix_(y, xs)].T)
+        for xs in (x[x0 : x0 + _BLOCK_ROWS] for x0 in range(0, len(x), _BLOCK_ROWS))
+    )
+
+
 def is_nilpotent(group: FiniteGroup) -> bool:
-    """Whether the lower central series reaches the trivial subgroup."""
+    """Whether elements of coprime order commute.
+
+    A finite group is nilpotent exactly when it is the direct product of its
+    Sylow subgroups, that is, when elements of coprime order commute
+    (Isaacs, Finite Group Theory, ch. 1). Each coprime pair of element
+    orders is one block compare of the table against its transpose.
+    """
     cached = group._cache.get("is_nilpotent")
     if cached is None:
-        n = group.order
-        current = ElementSet.full(group)
-        while True:
-            gens = set()
-            for x in current:
-                for g in range(n):
-                    gens.add(group.comm(x, g))
-            nxt = subgroup_generated(ElementSet.from_indices(group, gens))
-            if len(nxt) == 1:
-                cached = True
-                break
-            if nxt.mask == current.mask:
-                cached = False
-                break
-            current = nxt
+        t = group.np_table()
+        orders = _element_orders(group)
+        values = np.flatnonzero(np.bincount(orders)).tolist()[1:]  # orders above 1
+        by_order = {v: np.flatnonzero(orders == v) for v in values}
+        cached = all(
+            _commute(t, by_order[p], by_order[q])
+            for p, q in combinations(by_order, 2)
+            if gcd(p, q) == 1
+        )
         group._cache["is_nilpotent"] = cached
     return cached
 

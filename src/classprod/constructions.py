@@ -409,15 +409,18 @@ _BUILD_CACHE: Dict[Tuple[str, int], FiniteGroup] = {}
 
 
 def build_group(spec: "GroupSpec | str", max_order: Optional[int] = None) -> FiniteGroup:
-    """Parse (if needed) and build, memoizing everything except file specs.
+    """Parse (if needed) and build, memoizing every spec without a file in it.
 
-    The cache key holds the resolved order cap, so a later change to
+    A spec with a file factor is built afresh each time: the file can change,
+    and files with the same name in different directories share a canonical
+    id. The cache key holds the resolved order cap, so a later change to
     CLASSPROD_MAX_ORDER is honored rather than served from the cache.
     """
     parsed = GroupSpec.parse(spec) if isinstance(spec, str) else spec
-    if parsed.kind == "from_file":
+    canonical = parsed.canonical()
+    if "file:" in canonical:
         return parsed.build(max_order=max_order)
-    key = (parsed.canonical(), max_order_cap() if max_order is None else max_order)
+    key = (canonical, max_order_cap() if max_order is None else max_order)
     cached = _BUILD_CACHE.get(key)
     if cached is None:
         cached = parsed.build(max_order=max_order)

@@ -204,7 +204,7 @@ class Element:
         return (
             isinstance(other, Element)
             and self.index == other.index
-            and self.group.group_id == other.group.group_id
+            and self.group is other.group
         )
 
     def __hash__(self) -> int:
@@ -215,7 +215,7 @@ class Element:
 
 
 def _require_same_group(a: Element, b: Element) -> None:
-    if a.group.group_id != b.group.group_id:
+    if a.group is not b.group:
         raise GroupMismatch(f"elements of different groups: {a.group_id!r} vs {b.group_id!r}")
 
 
@@ -468,7 +468,11 @@ def load_gens(path: str) -> Tuple[int, List[Permutation]]:
 
 
 def load_cayley(path: str) -> List[List[int]]:
-    """Read a .cayley file: first line the order n, then n rows of n indices."""
+    """Read a .cayley file: first line the order n, then n rows of n indices.
+
+    A well-formed table is parsed in one numpy call; anything irregular
+    takes the per-line loop, which names the first bad line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
     lines = [ln for ln in lines if ln]
@@ -480,6 +484,14 @@ def load_cayley(path: str) -> List[List[int]]:
         raise ValueError(f"{path}: first line must be the order, got {lines[0]!r}") from None
     if n < 1 or len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} table rows, found {len(lines) - 1}")
+    try:
+        # accepts a subset of what int() does (no '_' separators, no non-ASCII
+        # digits, no values past int32), with the same values
+        table = np.loadtxt(lines[1:], dtype=np.int32, ndmin=2)
+    except ValueError:
+        table = None
+    if table is not None and table.shape == (n, n):
+        return table.tolist()
     rows = []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()

@@ -15,14 +15,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .classalg import (
     centralizer,
     centralizer_buckets,
-    class_product,
+    class_eta_matrix,
+    class_id_array,
     commutator_set,
     conjugacy_class,
     conjugacy_classes,
-    decompose,
     is_nilpotent,
     is_normal,
     is_prime_power,
@@ -214,17 +216,16 @@ def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> L
     flags = group_flags(group)
     rows: List[ScanRow] = []
     buckets = centralizer_buckets(group)
-    for cls in conjugacy_classes(group):
+    eta = class_eta_matrix(group)
+    cid = class_id_array(group)
+    for i, cls in enumerate(conjugacy_classes(group)):
         a = cls.representative
         if require_equal_centralizers:
-            b_indices = buckets[centralizer(a).mask]
+            b_indices = np.array(buckets[centralizer(a).mask])
         else:
-            b_indices = range(group.order)
-        for bi in b_indices:
+            b_indices = np.arange(group.order)
+        for bi in b_indices[eta[i, cid[b_indices]] == 1].tolist():
             b = Element(group, bi)
-            e = decompose(class_product(a, b)).eta
-            if e != 1:
-                continue
             if centralizer(a) == centralizer(b):
                 _audit_homogeneous(group, a, b)
             rows.append(
@@ -237,7 +238,7 @@ def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> L
                     b_name=b.name,
                     class_size_a=cls.size,
                     class_size_b=conjugacy_class(b).size,
-                    eta=e,
+                    eta=1,
                     homogeneous=True,
                     flags=flags,
                 )

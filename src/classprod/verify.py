@@ -1,8 +1,9 @@
 """Executable checkers for the statements about homogeneous class products.
 
 Every checker computes both sides of its claim through independent code
-paths: products go through set_product/decompose, membership conditions
-through commutator_set/is_normal, never deriving one side from the other.
+paths: class products and their eta come from the class-support kernel,
+commutator-set products from set_product, membership conditions from
+commutator_set/is_normal, never deriving one side from the other.
 A checker never adjudicates; it reports holds, fails, vacuous, or
 discrepancy (a sub-clause disagreeing while the main claim stands) together
 with witnesses.
@@ -14,11 +15,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .classalg import (
     ElementSet,
     center,
     centralizer,
     centralizer_buckets,
+    class_eta_matrix,
+    class_id_array,
     class_product,
     commutator_set,
     conjugacy_class,
@@ -38,8 +43,8 @@ from .classalg import (
     set_product,
 )
 from .constructions import direct_product
-from .errors import HypothesisViolated, OrderExceeded
-from .group import Element, FiniteGroup, conjugate, max_order_cap
+from .errors import GroupMismatch, HypothesisViolated, OrderExceeded
+from .group import Element, FiniteGroup, max_order_cap
 
 STATEMENT_IDS: Tuple[str, ...] = (
     "theorem-a",
@@ -154,6 +159,22 @@ def _merge(statement_id: str, group: FiniteGroup, parts: Sequence[VerifierReport
         witnesses=witnesses,
         clause_verdicts=clauses,
         notes=merged_notes,
+    )
+
+
+def _pairs_report(statement_id: str, group: FiniteGroup, pairs_checked: int,
+                  witnesses: List[dict], clauses: Dict[str, str],
+                  notes: List[str]) -> VerifierReport:
+    """The report of a batch of pairs: it fails exactly when some pair left a witness."""
+    return VerifierReport(
+        statement_id=statement_id,
+        group_id=group.group_id,
+        hypotheses_met=True,
+        pairs_checked=pairs_checked,
+        verdict="fails" if witnesses else "holds",
+        witnesses=witnesses,
+        clause_verdicts=clauses,
+        notes=notes,
     )
 
 
@@ -285,14 +306,26 @@ def check_product_formula(group: FiniteGroup, a: Element, b: Element) -> Verifie
     a^G b^G = ab.[a,G].[b,G]; that case is recorded under clause
     commuting-case.
     """
-    ab = a * b
-    lhs = class_product(a, b)
-    rhs = _comm_product(conjugate(a, b), b).translate_left(ab.index)
     witnesses: List[dict] = []
     clauses: Dict[str, str] = {}
-    verdict = "holds"
+    _check_product_formula_pair(a, b, witnesses, clauses)
+    return _pairs_report("product-formula", group, 1, witnesses, clauses, [_PRODUCT_FORMULA_NOTE])
+
+
+def _check_product_formula_pair(
+    a: Element, b: Element, witnesses: List[dict], clauses: Dict[str, str]
+) -> None:
+    """Check one pair; append its witnesses and fold its clause verdict in.
+
+    The left side is the class product from the kernel; the right side is
+    the commutator-set product, translated by ab one element at a time.
+    """
+    lhs = class_product(a, b)  # raises GroupMismatch for elements of two groups
+    g = a.group
+    ab = g.mul(a.index, b.index)
+    a_b = g.conj(a.index, b.index)
+    rhs = _translate(g, ab, _comm_product(g, a_b, b.index))
     if lhs != rhs:
-        verdict = "fails"
         witnesses.append(
             {
                 "a": a.index,
@@ -305,13 +338,12 @@ def check_product_formula(group: FiniteGroup, a: Element, b: Element) -> Verifie
                 "only_rhs": list(rhs - lhs),
             }
         )
-    if conjugate(a, b) == a:
-        plain = _comm_product(a, b).translate_left(ab.index)
+    if a_b == a.index:
+        plain = _translate(g, ab, _comm_product(g, a.index, b.index))
         if lhs == plain:
-            clauses["commuting-case"] = "holds"
+            clauses.setdefault("commuting-case", "holds")
         else:
             clauses["commuting-case"] = "fails"
-            verdict = "fails"
             witnesses.append(
                 {
                     "a": a.index,
@@ -321,21 +353,27 @@ def check_product_formula(group: FiniteGroup, a: Element, b: Element) -> Verifie
                     "rhs_size": len(plain),
                 }
             )
-    return VerifierReport(
-        statement_id="product-formula",
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=1,
-        verdict=verdict,
-        witnesses=witnesses,
-        clause_verdicts=clauses,
-        notes=[_PRODUCT_FORMULA_NOTE],
+
+
+def _comm_product(group: FiniteGroup, x: int, y: int) -> Tuple[int, ...]:
+    """The members of [x,G].[y,G], a plain set product memoized on the two sets."""
+    sx, sy = commutator_set(Element(group, x)), commutator_set(Element(group, y))
+    memo: Dict[Tuple[int, int], Tuple[int, ...]] = group._cache.setdefault(
+        "comm_set_products", {}
     )
+    members = memo.get((sx.mask, sy.mask))
+    if members is None:
+        members = memo[(sx.mask, sy.mask)] = set_product(sx, sy).members
+    return members
 
 
-def _comm_product(x: Element, y: Element) -> ElementSet:
-    """[x,G].[y,G] as a plain set product."""
-    return set_product(commutator_set(x), commutator_set(y))
+def _translate(group: FiniteGroup, c: int, members: Sequence[int]) -> ElementSet:
+    """The set {c*s : s in members}."""
+    row = group.table[c]
+    mask = 0
+    for s in members:
+        mask |= 1 << row[s]
+    return ElementSet(group, mask)
 
 
 def check_subgroup_implies_normal(group: FiniteGroup) -> VerifierReport:
@@ -362,62 +400,71 @@ def check_subgroup_implies_normal(group: FiniteGroup) -> VerifierReport:
     )
 
 
-def _quotient_eta_part(group: FiniteGroup, qm: QuotientMap, a: Element, b: Element) -> VerifierReport:
-    eta_parent = eta_of_product(a, b)
-    qa, qb = qm.project(a), qm.project(b)
-    eta_quot = eta_of_product(qa, qb)
+def check_quotient_eta(group: FiniteGroup, n: ElementSet, a: Element, b: Element) -> VerifierReport:
+    """Passing to a quotient never increases the class count of a product.
+
+    Second clause: classes that become disjoint in the quotient were already
+    disjoint upstairs. Raises NotNormal for a bad n, and GroupMismatch for
+    an element of another group.
+    """
+    qm = quotient(group, n)
+    for x in (a, b):
+        if x.group is not group:
+            raise GroupMismatch(f"element of {x.group_id!r} checked in {group.group_id!r}")
+    return _quotient_eta_report(group, [qm], np.array([a.index]), np.array([b.index]))
+
+
+def _quotient_eta_report(group: FiniteGroup, quotients: Iterable[QuotientMap],
+                         a: np.ndarray, b: np.ndarray) -> VerifierReport:
+    """check_quotient_eta for every quotient map and every pair (a[p], b[p]).
+
+    The eta of each product upstairs and in each quotient is read from that
+    group's own class-support kernel, the quotient's through the projection;
+    the parent's support is never pushed forward, which would make the
+    inequality hold by construction. Witnesses come quotient by quotient,
+    pair by pair, the eta witness before the disjointness one.
+    """
+    cid = class_id_array(group)
+    eta_parent = class_eta_matrix(group)[cid[a], cid[b]]
+    same_class = cid[a] == cid[b]
     witnesses: List[dict] = []
+    any_disjoint = any_split = False
+    checked = 0
+    for qm in quotients:
+        checked += len(a)
+        proj = np.asarray(qm.projection)
+        qcid = class_id_array(qm.quotient)
+        qa, qb = qcid[proj[a]], qcid[proj[b]]
+        eta_quot = class_eta_matrix(qm.quotient)[qa, qb]
+        rises = eta_quot > eta_parent
+        disjoint = qa != qb
+        split = disjoint & same_class  # disjoint downstairs but not upstairs
+        any_disjoint |= bool(disjoint.any())
+        any_split |= bool(split.any())
+        kernel = list(qm.kernel)
+        for p in np.flatnonzero(rises | split).tolist():
+            ai, bi = int(a[p]), int(b[p])
+            if rises[p]:
+                witnesses.append(
+                    {
+                        "a": ai,
+                        "b": bi,
+                        "kernel": kernel,
+                        "eta_parent": int(eta_parent[p]),
+                        "eta_quotient": int(eta_quot[p]),
+                    }
+                )
+            if split[p]:
+                witnesses.append({"a": ai, "b": bi, "kernel": kernel, "clause": "disjointness"})
     clauses: Dict[str, str] = {}
-    verdict = "holds"
-    if eta_quot > eta_parent:
-        verdict = "fails"
-        witnesses.append(
-            {
-                "a": a.index,
-                "b": b.index,
-                "kernel": list(qm.kernel),
-                "eta_parent": eta_parent,
-                "eta_quotient": eta_quot,
-            }
-        )
-    if conjugacy_class(qa).carrier.isdisjoint(conjugacy_class(qb).carrier):
-        if conjugacy_class(a).carrier.isdisjoint(conjugacy_class(b).carrier):
-            clauses["disjointness"] = "holds"
-        else:
-            clauses["disjointness"] = "fails"
-            verdict = "fails"
-            witnesses.append(
-                {
-                    "a": a.index,
-                    "b": b.index,
-                    "kernel": list(qm.kernel),
-                    "clause": "disjointness",
-                }
-            )
+    if any_disjoint:
+        clauses["disjointness"] = "fails" if any_split else "holds"
     notes = []
     if not is_prime_power(group.order):
         notes.append(
             "group order is not a prime power; the inequality is checked without that hypothesis"
         )
-    return VerifierReport(
-        statement_id="quotient-monotonicity",
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=1,
-        verdict=verdict,
-        witnesses=witnesses,
-        clause_verdicts=clauses,
-        notes=notes,
-    )
-
-
-def check_quotient_eta(group: FiniteGroup, n: ElementSet, a: Element, b: Element) -> VerifierReport:
-    """Passing to a quotient never increases the class count of a product.
-
-    Second clause: classes that become disjoint in the quotient were already
-    disjoint upstairs. Raises NotNormal for a bad n.
-    """
-    return _quotient_eta_part(group, quotient(group, n), a, b)
+    return _pairs_report("quotient-monotonicity", group, checked, witnesses, clauses, notes)
 
 
 def check_center_intersection(group: FiniteGroup, a: Element) -> VerifierReport:
@@ -649,29 +696,32 @@ def _product_formula_pairs(group: FiniteGroup) -> Tuple[List[Tuple[Element, Elem
 
 def _agg_product_formula(group: FiniteGroup) -> VerifierReport:
     pairs, strategy = _product_formula_pairs(group)
-    parts = [check_product_formula(group, a, b) for a, b in pairs]
-    return _merge("product-formula", group, parts, notes=[strategy])
+    witnesses: List[dict] = []
+    clauses: Dict[str, str] = {}
+    for a, b in pairs:
+        _check_product_formula_pair(a, b, witnesses, clauses)
+    part = _pairs_report(
+        "product-formula", group, len(pairs), witnesses, clauses, [_PRODUCT_FORMULA_NOTE]
+    )
+    return _merge("product-formula", group, [part], notes=[strategy])
 
 
 def _agg_quotient_eta(group: FiniteGroup) -> VerifierReport:
     n = group.order
     if n <= 27:
         kernels = list(normal_subgroups(group))
-        pairs = [
-            (Element(group, i), Element(group, j)) for i in range(n) for j in range(n)
-        ]
+        a = np.repeat(np.arange(n), n)
+        b = np.tile(np.arange(n), n)
         strategy = "all normal subgroups, all ordered element pairs"
     else:
         kernels = [ElementSet.from_indices(group, [0])] + list(minimal_normal_subgroups(group))
-        reps = [cls.representative for cls in conjugacy_classes(group)]
-        pairs = [(a, b) for a in reps for b in reps]
+        reps = np.array([cls.representative.index for cls in conjugacy_classes(group)])
+        a = np.repeat(reps, len(reps))
+        b = np.tile(reps, len(reps))
         strategy = "minimal normal subgroups, class representatives only"
-    parts: List[VerifierReport] = []
-    for kernel in kernels:
-        qm = quotient(group, kernel)
-        for a, b in pairs:
-            parts.append(_quotient_eta_part(group, qm, a, b))
-    return _merge("quotient-monotonicity", group, parts, notes=[f"kernel strategy: {strategy}"])
+    # one quotient group alive at a time
+    part = _quotient_eta_report(group, (quotient(group, k) for k in kernels), a, b)
+    return _merge("quotient-monotonicity", group, [part], notes=[f"kernel strategy: {strategy}"])
 
 
 def _agg_center_intersection(group: FiniteGroup) -> VerifierReport:
