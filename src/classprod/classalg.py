@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 

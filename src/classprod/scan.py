@@ -246,11 +246,11 @@ def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> L
     return rows
 
 
-def _scan_one(args: Tuple[str, bool, int], group: Optional[FiniteGroup] = None) -> List[dict]:
+def _scan_one(args: Tuple[str, bool, int], group: Optional[FiniteGroup] = None) -> List[ScanRow]:
     spec_text, require_equal, cap = args
     if group is None:
         group = build_group(spec_text, max_order=cap)
-    return [row.to_dict() for row in scan_group(group, require_equal)]
+    return scan_group(group, require_equal)
 
 
 def pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
@@ -277,15 +277,14 @@ def scan_homogeneous(
     """
     tasks = [(e.spec_text, require_equal_centralizers, catalog.order_cap) for e in catalog.entries]
     size = pool_size(workers, len(tasks), os.cpu_count())
-    results: List[dict] = []
+    rows: List[ScanRow] = []
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
             for chunk in pool.map(_scan_one, tasks):
-                results.extend(chunk)
+                rows.extend(chunk)
     else:
         for entry, task in zip(catalog.entries, tasks):
-            results.extend(_scan_one(task, entry.group))
-    rows = [ScanRow.from_dict(d) for d in results]
+            rows.extend(_scan_one(task, entry.group))
     rows.sort(key=ScanRow.sort_key)
     return rows
 

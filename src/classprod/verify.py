@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,21 +43,8 @@ from .classalg import (
     set_product,
 )
 from .constructions import direct_product
-from .errors import GroupMismatch, HypothesisViolated, OrderExceeded
+from .errors import GroupMismatch, HypothesisViolated
 from .group import Element, FiniteGroup, max_order_cap
-
-STATEMENT_IDS: Tuple[str, ...] = (
-    "theorem-a",
-    "theorem-b",
-    "product-formula",
-    "subgroup-implies-normal",
-    "quotient-monotonicity",
-    "center-intersection",
-    "size2-classes",
-    "supersolvable-two-power",
-    "nilpotent-odd-size",
-    "direct-product-eta",
-)
 
 _VERDICTS = ("holds", "fails", "vacuous", "discrepancy")
 _SEVERITY = {"vacuous": 0, "holds": 1, "discrepancy": 2, "fails": 3}
@@ -129,6 +116,8 @@ def _vacuous(statement_id: str, group: FiniteGroup, note: str, hypotheses_met: b
     )
 
 
+# The checkers do not call _merge; tests fold one-pair reports with it as the
+# reference that each aggregate report must equal.
 def _merge(statement_id: str, group: FiniteGroup, parts: Sequence[VerifierReport],
            notes: Iterable[str] = ()) -> VerifierReport:
     if not parts:
@@ -162,20 +151,61 @@ def _merge(statement_id: str, group: FiniteGroup, parts: Sequence[VerifierReport
     )
 
 
-def _pairs_report(statement_id: str, group: FiniteGroup, pairs_checked: int,
-                  witnesses: List[dict], clauses: Dict[str, str],
-                  notes: List[str]) -> VerifierReport:
-    """The report of a batch of pairs: it fails exactly when some pair left a witness."""
-    return VerifierReport(
-        statement_id=statement_id,
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=pairs_checked,
-        verdict="fails" if witnesses else "holds",
-        witnesses=witnesses,
-        clause_verdicts=clauses,
-        notes=notes,
-    )
+class _Tally:
+    """One statement's outcome over a run of pairs, built into one report.
+
+    Witnesses are kept in the order the pairs add them; fail() marks the
+    main claim failed, clause() folds a sub-clause verdict in by severity.
+    """
+
+    def __init__(self) -> None:
+        self.checked = 0
+        self.verdict = "holds"
+        self.witnesses: List[dict] = []
+        self.clauses: Dict[str, str] = {}
+
+    def fail(self, witness: dict) -> None:
+        self.verdict = "fails"
+        self.witnesses.append(witness)
+
+    def clause(self, name: str, verdict: str, witness: Optional[dict] = None) -> None:
+        if name not in self.clauses or _SEVERITY[verdict] > _SEVERITY[self.clauses[name]]:
+            self.clauses[name] = verdict
+        if _SEVERITY[verdict] > _SEVERITY[self.verdict]:
+            self.verdict = verdict
+        if witness is not None:
+            self.witnesses.append(witness)
+
+    def report(self, statement_id: str, group: FiniteGroup,
+               notes: Iterable[str] = ()) -> VerifierReport:
+        """The single report: notes deduplicated in order, witnesses capped."""
+        if not self.checked:
+            return _vacuous(statement_id, group, "no qualifying pairs", hypotheses_met=True)
+        notes = list(dict.fromkeys(notes))
+        witnesses, total = self.witnesses, len(self.witnesses)
+        if total > _WITNESS_CAP:
+            witnesses = witnesses[:_WITNESS_CAP]
+            notes.append(f"witness list truncated to {_WITNESS_CAP} of {total}")
+        return VerifierReport(
+            statement_id=statement_id,
+            group_id=group.group_id,
+            hypotheses_met=True,
+            pairs_checked=self.checked,
+            verdict=self.verdict,
+            witnesses=witnesses,
+            clause_verdicts=self.clauses,
+            notes=notes,
+        )
+
+
+def _run(statement_id: str, group: FiniteGroup, check: Callable[..., None],
+         pairs: Iterable[tuple], notes: Iterable[str] = ()) -> VerifierReport:
+    """One report over check(tally, *pair) for every pair, in order."""
+    out = _Tally()
+    for pair in pairs:
+        out.checked += 1
+        check(out, *pair)
+    return out.report(statement_id, group, notes)
 
 
 def _require_equal_centralizers(statement_id: str, a: Element, b: Element) -> None:
@@ -201,7 +231,7 @@ def equal_centralizer_pairs(group: FiniteGroup) -> List[Tuple[Element, Element]]
     return pairs
 
 
-# -- pairwise checkers -----------------------------------------------------
+# -- checkers: a public hypothesis gate over one pair, and the pair itself --
 
 
 def check_theorem_a(group: FiniteGroup, a: Element, b: Element) -> VerifierReport:
@@ -214,17 +244,18 @@ def check_theorem_a(group: FiniteGroup, a: Element, b: Element) -> VerifierRepor
     which is reported as a discrepancy, not a failure.
     """
     _require_equal_centralizers("theorem-a", a, b)
+    return _run("theorem-a", group, _theorem_a_pair, [(a, b)])
+
+
+def _theorem_a_pair(out: _Tally, a: Element, b: Element) -> None:
     ab = a * b
     lhs = class_product(a, b) == conjugacy_class(ab).carrier
     sa = commutator_set(a)
     sb = commutator_set(b)
     sab = commutator_set(ab)
     rhs = sa == sb and sb == sab and is_normal(sab)
-    witnesses: List[dict] = []
-    verdict = "holds"
     if lhs != rhs:
-        verdict = "fails"
-        witnesses.append(
+        out.fail(
             {
                 "a": a.index,
                 "b": b.index,
@@ -236,14 +267,14 @@ def check_theorem_a(group: FiniteGroup, a: Element, b: Element) -> VerifierRepor
                 "eta": eta_of_product(a, b),
             }
         )
-    clauses: Dict[str, str] = {}
     if a.index == b.index:
         shortcut = is_normal(sa)
         if lhs == shortcut:
-            clauses["in-particular"] = "holds"
+            out.clause("in-particular", "holds")
         else:
-            clauses["in-particular"] = "discrepancy"
-            witnesses.append(
+            out.clause(
+                "in-particular",
+                "discrepancy",
                 {
                     "a": a.index,
                     "a_name": a.name,
@@ -252,27 +283,17 @@ def check_theorem_a(group: FiniteGroup, a: Element, b: Element) -> VerifierRepor
                     "comm_set_is_normal": shortcut,
                     "single_class": lhs,
                     "eta": eta_of_product(a, a),
-                }
+                },
             )
-            if verdict == "holds":
-                verdict = "discrepancy"
-    return VerifierReport(
-        statement_id="theorem-a",
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=1,
-        verdict=verdict,
-        witnesses=witnesses,
-        clause_verdicts=clauses,
-    )
 
 
 def check_theorem_b(group: FiniteGroup) -> VerifierReport:
     """In a nonabelian simple group the only homogeneous product is 1*1."""
     if not is_simple_nonabelian(group):
         raise HypothesisViolated(f"theorem-b: {group.group_id} is not nonabelian simple")
-    witnesses: List[dict] = []
+    out = _Tally()
     pairs = equal_centralizer_pairs(group)
+    out.checked = len(pairs)
     identity_pair_seen = False
     for a, b in pairs:
         if eta_of_product(a, b) != 1:
@@ -280,20 +301,10 @@ def check_theorem_b(group: FiniteGroup) -> VerifierReport:
         if a.index == 0 and b.index == 0:
             identity_pair_seen = True
         else:
-            witnesses.append(
-                {"a": a.index, "b": b.index, "a_name": a.name, "b_name": b.name, "eta": 1}
-            )
-    verdict = "holds" if identity_pair_seen and not witnesses else "fails"
-    if verdict == "fails" and not witnesses:
-        witnesses.append({"a": 0, "b": 0, "note": "identity pair missing"})
-    return VerifierReport(
-        statement_id="theorem-b",
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=len(pairs),
-        verdict=verdict,
-        witnesses=witnesses,
-    )
+            out.fail({"a": a.index, "b": b.index, "a_name": a.name, "b_name": b.name, "eta": 1})
+    if not identity_pair_seen and not out.witnesses:
+        out.fail({"a": 0, "b": 0, "note": "identity pair missing"})
+    return out.report("theorem-b", group)
 
 
 _PRODUCT_FORMULA_NOTE = "identity checked: a^G b^G = ab.[a^b,G].[b,G] with a^b = b^-1 a b"
@@ -306,18 +317,11 @@ def check_product_formula(group: FiniteGroup, a: Element, b: Element) -> Verifie
     a^G b^G = ab.[a,G].[b,G]; that case is recorded under clause
     commuting-case.
     """
-    witnesses: List[dict] = []
-    clauses: Dict[str, str] = {}
-    _check_product_formula_pair(a, b, witnesses, clauses)
-    return _pairs_report("product-formula", group, 1, witnesses, clauses, [_PRODUCT_FORMULA_NOTE])
+    return _run("product-formula", group, _product_formula_pair, [(a, b)], [_PRODUCT_FORMULA_NOTE])
 
 
-def _check_product_formula_pair(
-    a: Element, b: Element, witnesses: List[dict], clauses: Dict[str, str]
-) -> None:
-    """Check one pair; append its witnesses and fold its clause verdict in.
-
-    The left side is the class product from the kernel; the right side is
+def _product_formula_pair(out: _Tally, a: Element, b: Element) -> None:
+    """The left side is the class product from the kernel; the right side is
     the commutator-set product, translated by ab one element at a time.
     """
     lhs = class_product(a, b)  # raises GroupMismatch for elements of two groups
@@ -326,7 +330,7 @@ def _check_product_formula_pair(
     a_b = g.conj(a.index, b.index)
     rhs = _translate(g, ab, _comm_product(g, a_b, b.index))
     if lhs != rhs:
-        witnesses.append(
+        out.fail(
             {
                 "a": a.index,
                 "b": b.index,
@@ -341,17 +345,18 @@ def _check_product_formula_pair(
     if a_b == a.index:
         plain = _translate(g, ab, _comm_product(g, a.index, b.index))
         if lhs == plain:
-            clauses.setdefault("commuting-case", "holds")
+            out.clause("commuting-case", "holds")
         else:
-            clauses["commuting-case"] = "fails"
-            witnesses.append(
+            out.clause(
+                "commuting-case",
+                "fails",
                 {
                     "a": a.index,
                     "b": b.index,
                     "clause": "commuting-case",
                     "lhs_size": len(lhs),
                     "rhs_size": len(plain),
-                }
+                },
             )
 
 
@@ -378,7 +383,8 @@ def _translate(group: FiniteGroup, c: int, members: Sequence[int]) -> ElementSet
 
 def check_subgroup_implies_normal(group: FiniteGroup) -> VerifierReport:
     """Every commutator set that is a subgroup must be a normal one."""
-    witnesses: List[dict] = []
+    out = _Tally()
+    out.checked = group.order
     closed = 0
     for c in range(group.order):
         s = commutator_set(Element(group, c))
@@ -386,17 +392,9 @@ def check_subgroup_implies_normal(group: FiniteGroup) -> VerifierReport:
             continue
         closed += 1
         if not is_normal(s):
-            witnesses.append(
-                {"c": c, "c_name": group.name_of(c), "comm_set": list(s)}
-            )
-    return VerifierReport(
-        statement_id="subgroup-implies-normal",
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=group.order,
-        verdict="fails" if witnesses else "holds",
-        witnesses=witnesses,
-        notes=[f"{closed} of {group.order} commutator sets are subgroups"],
+            out.fail({"c": c, "c_name": group.name_of(c), "comm_set": list(s)})
+    return out.report(
+        "subgroup-implies-normal", group, [f"{closed} of {group.order} commutator sets are subgroups"]
     )
 
 
@@ -415,7 +413,7 @@ def check_quotient_eta(group: FiniteGroup, n: ElementSet, a: Element, b: Element
 
 
 def _quotient_eta_report(group: FiniteGroup, quotients: Iterable[QuotientMap],
-                         a: np.ndarray, b: np.ndarray) -> VerifierReport:
+                         a: np.ndarray, b: np.ndarray, notes: Iterable[str] = ()) -> VerifierReport:
     """check_quotient_eta for every quotient map and every pair (a[p], b[p]).
 
     The eta of each product upstairs and in each quotient is read from that
@@ -427,11 +425,9 @@ def _quotient_eta_report(group: FiniteGroup, quotients: Iterable[QuotientMap],
     cid = class_id_array(group)
     eta_parent = class_eta_matrix(group)[cid[a], cid[b]]
     same_class = cid[a] == cid[b]
-    witnesses: List[dict] = []
-    any_disjoint = any_split = False
-    checked = 0
+    out = _Tally()
     for qm in quotients:
-        checked += len(a)
+        out.checked += len(a)
         proj = np.asarray(qm.projection)
         qcid = class_id_array(qm.quotient)
         qa, qb = qcid[proj[a]], qcid[proj[b]]
@@ -439,13 +435,13 @@ def _quotient_eta_report(group: FiniteGroup, quotients: Iterable[QuotientMap],
         rises = eta_quot > eta_parent
         disjoint = qa != qb
         split = disjoint & same_class  # disjoint downstairs but not upstairs
-        any_disjoint |= bool(disjoint.any())
-        any_split |= bool(split.any())
+        if disjoint.any():
+            out.clause("disjointness", "holds")
         kernel = list(qm.kernel)
         for p in np.flatnonzero(rises | split).tolist():
             ai, bi = int(a[p]), int(b[p])
             if rises[p]:
-                witnesses.append(
+                out.fail(
                     {
                         "a": ai,
                         "b": bi,
@@ -455,16 +451,15 @@ def _quotient_eta_report(group: FiniteGroup, quotients: Iterable[QuotientMap],
                     }
                 )
             if split[p]:
-                witnesses.append({"a": ai, "b": bi, "kernel": kernel, "clause": "disjointness"})
-    clauses: Dict[str, str] = {}
-    if any_disjoint:
-        clauses["disjointness"] = "fails" if any_split else "holds"
-    notes = []
+                out.clause(
+                    "disjointness", "fails", {"a": ai, "b": bi, "kernel": kernel, "clause": "disjointness"}
+                )
     if not is_prime_power(group.order):
-        notes.append(
-            "group order is not a prime power; the inequality is checked without that hypothesis"
-        )
-    return _pairs_report("quotient-monotonicity", group, checked, witnesses, clauses, notes)
+        notes = [
+            "group order is not a prime power; the inequality is checked without that hypothesis",
+            *notes,
+        ]
+    return out.report("quotient-monotonicity", group, notes)
 
 
 def check_center_intersection(group: FiniteGroup, a: Element) -> VerifierReport:
@@ -479,15 +474,15 @@ def check_center_intersection(group: FiniteGroup, a: Element) -> VerifierReport:
             f"center-intersection: {group.group_id} has even order {group.order}; "
             "the claim can fail there (q8 squares land in the center)"
         )
+    return _run("center-intersection", group, _center_intersection_pair, [(group, a)])
+
+
+def _center_intersection_pair(out: _Tally, group: FiniteGroup, a: Element) -> None:
     square = class_product(a, a)
     size = conjugacy_class(a).size
     meets_center = not center(group).isdisjoint(square)
-    witnesses: List[dict] = []
-    clauses: Dict[str, str] = {}
-    verdict = "holds"
     if meets_center != (size == 1):
-        verdict = "fails"
-        witnesses.append(
+        out.fail(
             {
                 "a": a.index,
                 "a_name": a.name,
@@ -498,26 +493,17 @@ def check_center_intersection(group: FiniteGroup, a: Element) -> VerifierReport:
     if size > 1:
         singletons = [c for c in decompose(square).classes if c.size == 1]
         if singletons:
-            clauses["rider"] = "fails"
-            verdict = "fails"
-            witnesses.append(
+            out.clause(
+                "rider",
+                "fails",
                 {
                     "a": a.index,
                     "clause": "rider",
                     "singleton_members": [c.representative.index for c in singletons],
-                }
+                },
             )
         else:
-            clauses["rider"] = "holds"
-    return VerifierReport(
-        statement_id="center-intersection",
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=1,
-        verdict=verdict,
-        witnesses=witnesses,
-        clause_verdicts=clauses,
-    )
+            out.clause("rider", "holds")
 
 
 def check_size2(group: FiniteGroup, a: Element, b: Element) -> VerifierReport:
@@ -531,16 +517,16 @@ def check_size2(group: FiniteGroup, a: Element, b: Element) -> VerifierReport:
         raise HypothesisViolated(
             f"size2-classes: |class({a.name})| = {conjugacy_class(a).size}, need 2"
         )
+    return _run("size2-classes", group, _size2_pair, [(group, a, b)])
+
+
+def _size2_pair(out: _Tally, group: FiniteGroup, a: Element, b: Element) -> None:
     product = class_product(a, b)
     e = decompose(product).eta
     s = [x for x in commutator_set(a) if x != 0]
     t = [x for x in commutator_set(b) if x != 0]
-    witnesses: List[dict] = []
-    clauses: Dict[str, str] = {}
-    verdict = "holds"
     if e != 2:
-        verdict = "fails"
-        witnesses.append({"a": a.index, "b": b.index, "eta": e})
+        out.fail({"a": a.index, "b": b.index, "eta": e})
     if len(s) == 1 and len(t) == 1:
         ab = (a * b).index
         mul = group.mul
@@ -548,28 +534,24 @@ def check_size2(group: FiniteGroup, a: Element, b: Element) -> VerifierReport:
             group, {ab, mul(ab, s[0]), mul(ab, t[0]), mul(ab, mul(s[0], t[0]))}
         )
         if shape == product:
-            clauses["product-shape"] = "holds"
+            out.clause("product-shape", "holds")
         else:
-            clauses["product-shape"] = "fails"
-            verdict = "fails"
-            witnesses.append(
+            out.clause(
+                "product-shape",
+                "fails",
                 {
                     "a": a.index,
                     "b": b.index,
                     "clause": "product-shape",
                     "shape": list(shape),
                     "product": list(product),
-                }
+                },
             )
-    return VerifierReport(
-        statement_id="size2-classes",
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=1,
-        verdict=verdict,
-        witnesses=witnesses,
-        clause_verdicts=clauses,
-    )
+
+
+def _is_two_power_class(a: Element) -> bool:
+    size = conjugacy_class(a).size
+    return size > 1 and size & (size - 1) == 0
 
 
 def check_supersolvable_pow2(group: FiniteGroup, a: Element, b: Element) -> VerifierReport:
@@ -577,48 +559,34 @@ def check_supersolvable_pow2(group: FiniteGroup, a: Element, b: Element) -> Veri
     if not is_supersolvable(group):
         raise HypothesisViolated(f"supersolvable-two-power: {group.group_id} is not supersolvable")
     _require_equal_centralizers("supersolvable-two-power", a, b)
-    size = conjugacy_class(a).size
-    if size < 2 or size & (size - 1):
+    if not _is_two_power_class(a):
         raise HypothesisViolated(
-            f"supersolvable-two-power: |class({a.name})| = {size} is not a 2-power > 1"
+            f"supersolvable-two-power: |class({a.name})| = {conjugacy_class(a).size} "
+            "is not a 2-power > 1"
         )
+    return _run("supersolvable-two-power", group, _supersolvable_pow2_pair, [(a, b)])
+
+
+def _supersolvable_pow2_pair(out: _Tally, a: Element, b: Element) -> None:
     e = eta_of_product(a, b)
-    witnesses: List[dict] = []
     if e < 2:
-        witnesses.append(
+        out.fail(
             {"a": a.index, "b": b.index, "a_name": a.name, "b_name": b.name,
-             "class_size": size, "eta": e}
+             "class_size": conjugacy_class(a).size, "eta": e}
         )
-    return VerifierReport(
-        statement_id="supersolvable-two-power",
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=1,
-        verdict="fails" if witnesses else "holds",
-        witnesses=witnesses,
-    )
 
 
 def check_nilpotent_odd(group: FiniteGroup) -> VerifierReport:
     """In nilpotent groups a homogeneous class square forces odd class size."""
     if not is_nilpotent(group):
         raise HypothesisViolated(f"nilpotent-odd-size: {group.group_id} is not nilpotent")
-    witnesses: List[dict] = []
-    classes = conjugacy_classes(group)
-    for cls in classes:
+    out = _Tally()
+    for cls in conjugacy_classes(group):
+        out.checked += 1
         a = cls.representative
         if eta_of_product(a, a) == 1 and cls.size % 2 == 0:
-            witnesses.append(
-                {"a": a.index, "a_name": a.name, "class_size": cls.size, "eta": 1}
-            )
-    return VerifierReport(
-        statement_id="nilpotent-odd-size",
-        group_id=group.group_id,
-        hypotheses_met=True,
-        pairs_checked=len(classes),
-        verdict="fails" if witnesses else "holds",
-        witnesses=witnesses,
-    )
+            out.fail({"a": a.index, "a_name": a.name, "class_size": cls.size, "eta": 1})
+    return out.report("nilpotent-odd-size", group)
 
 
 def check_direct_product_eta(
@@ -639,13 +607,18 @@ def check_direct_product_eta(
             "direct-product-eta: both factors need a homogeneous class square"
         )
     prod = product_group if product_group is not None else direct_product(group, k)
+    # the one-pair report names the product group; the aggregate names the factor
+    return _run("direct-product-eta", prod, _direct_product_eta_pair, [(prod, a, k, b)])
+
+
+def _direct_product_eta_pair(out: _Tally, prod: FiniteGroup, a: Element, k: FiniteGroup,
+                             b: Element) -> None:
     pair = Element(prod, a.index * k.order + b.index)
     size = conjugacy_class(pair).size
     expected = conjugacy_class(a).size * conjugacy_class(b).size
     e = eta_of_product(pair, pair)
-    witnesses: List[dict] = []
     if size != expected or e != 1:
-        witnesses.append(
+        out.fail(
             {
                 "a": a.index,
                 "b": b.index,
@@ -655,22 +628,13 @@ def check_direct_product_eta(
                 "eta": e,
             }
         )
-    return VerifierReport(
-        statement_id="direct-product-eta",
-        group_id=prod.group_id,
-        hypotheses_met=True,
-        pairs_checked=1,
-        verdict="fails" if witnesses else "holds",
-        witnesses=witnesses,
-    )
 
 
-# -- per-group aggregation -------------------------------------------------
+# -- per-group aggregation: the hypothesis gate, the pairs, one report -------
 
 
 def _agg_theorem_a(group: FiniteGroup) -> VerifierReport:
-    parts = [check_theorem_a(group, a, b) for a, b in equal_centralizer_pairs(group)]
-    return _merge("theorem-a", group, parts)
+    return _run("theorem-a", group, _theorem_a_pair, equal_centralizer_pairs(group))
 
 
 def _agg_theorem_b(group: FiniteGroup) -> VerifierReport:
@@ -696,14 +660,9 @@ def _product_formula_pairs(group: FiniteGroup) -> Tuple[List[Tuple[Element, Elem
 
 def _agg_product_formula(group: FiniteGroup) -> VerifierReport:
     pairs, strategy = _product_formula_pairs(group)
-    witnesses: List[dict] = []
-    clauses: Dict[str, str] = {}
-    for a, b in pairs:
-        _check_product_formula_pair(a, b, witnesses, clauses)
-    part = _pairs_report(
-        "product-formula", group, len(pairs), witnesses, clauses, [_PRODUCT_FORMULA_NOTE]
+    return _run(
+        "product-formula", group, _product_formula_pair, pairs, [_PRODUCT_FORMULA_NOTE, strategy]
     )
-    return _merge("product-formula", group, [part], notes=[strategy])
 
 
 def _agg_quotient_eta(group: FiniteGroup) -> VerifierReport:
@@ -720,8 +679,9 @@ def _agg_quotient_eta(group: FiniteGroup) -> VerifierReport:
         b = np.tile(reps, len(reps))
         strategy = "minimal normal subgroups, class representatives only"
     # one quotient group alive at a time
-    part = _quotient_eta_report(group, (quotient(group, k) for k in kernels), a, b)
-    return _merge("quotient-monotonicity", group, [part], notes=[f"kernel strategy: {strategy}"])
+    return _quotient_eta_report(
+        group, (quotient(group, k) for k in kernels), a, b, [f"kernel strategy: {strategy}"]
+    )
 
 
 def _agg_center_intersection(group: FiniteGroup) -> VerifierReport:
@@ -729,31 +689,22 @@ def _agg_center_intersection(group: FiniteGroup) -> VerifierReport:
         return _vacuous(
             "center-intersection", group, f"even order {group.order}; hypothesis not met"
         )
-    parts = [
-        check_center_intersection(group, cls.representative)
-        for cls in conjugacy_classes(group)
-    ]
-    return _merge("center-intersection", group, parts)
+    pairs = [(group, cls.representative) for cls in conjugacy_classes(group)]
+    return _run("center-intersection", group, _center_intersection_pair, pairs)
 
 
 def _agg_size2(group: FiniteGroup) -> VerifierReport:
-    parts = [
-        check_size2(group, a, b)
-        for a, b in equal_centralizer_pairs(group)
-        if conjugacy_class(a).size == 2
+    pairs = [
+        (group, a, b) for a, b in equal_centralizer_pairs(group) if conjugacy_class(a).size == 2
     ]
-    return _merge("size2-classes", group, parts)
+    return _run("size2-classes", group, _size2_pair, pairs)
 
 
 def _agg_supersolvable_pow2(group: FiniteGroup) -> VerifierReport:
     if not is_supersolvable(group):
         return _vacuous("supersolvable-two-power", group, "group is not supersolvable")
-    parts = []
-    for a, b in equal_centralizer_pairs(group):
-        size = conjugacy_class(a).size
-        if size > 1 and size & (size - 1) == 0:
-            parts.append(check_supersolvable_pow2(group, a, b))
-    return _merge("supersolvable-two-power", group, parts)
+    pairs = [(a, b) for a, b in equal_centralizer_pairs(group) if _is_two_power_class(a)]
+    return _run("supersolvable-two-power", group, _supersolvable_pow2_pair, pairs)
 
 
 def _agg_nilpotent_odd(group: FiniteGroup) -> VerifierReport:
@@ -780,16 +731,14 @@ def _agg_direct_product_eta(group: FiniteGroup) -> VerifierReport:
             "direct-product-eta", group, "no class with a homogeneous square", hypotheses_met=True
         )
     prod = direct_product(group, group)
-    parts = [
-        check_direct_product_eta(group, a, group, b, product_group=prod)
-        for a in reps
-        for b in reps
-    ]
-    return _merge(
-        "direct-product-eta", group, parts, notes=["second factor is the group itself"]
+    pairs = [(prod, a, group, b) for a in reps for b in reps]
+    return _run(
+        "direct-product-eta", group, _direct_product_eta_pair, pairs,
+        ["second factor is the group itself"],
     )
 
 
+# Keyed by statement id in canonical order, and looked up at call time.
 _AGGREGATORS = {
     "theorem-a": _agg_theorem_a,
     "theorem-b": _agg_theorem_b,
@@ -802,6 +751,7 @@ _AGGREGATORS = {
     "nilpotent-odd-size": _agg_nilpotent_odd,
     "direct-product-eta": _agg_direct_product_eta,
 }
+STATEMENT_IDS: Tuple[str, ...] = tuple(_AGGREGATORS)
 
 
 def run_statement(group: FiniteGroup, statement_id: str) -> VerifierReport:
