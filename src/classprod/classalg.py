@@ -181,7 +181,7 @@ _BLOCK_ROWS = 256
 
 
 def _mask_of(indices: np.ndarray, n: int) -> int:
-    """The bitmask of a set of indices below n."""
+    """The bitmask of a set of indices below n, given as indices or a bool mask."""
     member = np.zeros(n, dtype=bool)
     member[indices] = True
     return int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
@@ -313,22 +313,16 @@ def _class_members(group: FiniteGroup, i: int) -> np.ndarray:
 
 
 def center(group: FiniteGroup) -> ElementSet:
-    """Elements commuting with everything; computed by a direct loop."""
+    """Elements commuting with everything: the union of the one-element classes."""
     mask = group._cache.get("center_mask")
     if mask is None:
-        n = group.order
-        table = group.table
-        mask = 0
-        for z in range(n):
-            row = table[z]
-            if all(row[g] == table[g][z] for g in range(n)):
-                mask |= 1 << z
-        group._cache["center_mask"] = mask
+        central = _class_sizes(group)[class_id_array(group)] == 1
+        mask = group._cache["center_mask"] = _mask_of(central, group.order)
     return ElementSet(group, mask)
 
 
 def is_abelian(group: FiniteGroup) -> bool:
-    return len(center(group)) == group.order
+    return len(conjugacy_classes(group)) == group.order
 
 
 # -- set products and decomposition --------------------------------------
@@ -352,11 +346,11 @@ def set_product(x: ElementSet, y: ElementSet) -> ElementSet:
 # a^G b^G is the union of the classes of a*y over y in b^G. For the
 # representative r of class i, the pairs (class of y, class of r*y) over all
 # y therefore give the class support of C_i C_j for every j at once: one
-# gather, class_id[T[r]], scattered into a k x k boolean. Each row i is built
-# on first use and kept sparse, as the sorted keys j*k + l of the classes l
-# in C_i C_j, so a row holds at most one key per element whatever the number
-# of classes k. (Class multiplication coefficients: Holt, Eick and O'Brien,
-# Handbook of Computational Group Theory, 2005, section 7.)
+# gather, class_id[T[r]], read as keys j*k + l, sorted and deduplicated.
+# Each row i is built on first use and kept as those keys, at most one per
+# element and O(n log n) to sort, whatever the number of classes k. (Class
+# multiplication coefficients: Holt, Eick and O'Brien, Handbook of
+# Computational Group Theory, 2005, section 7.)
 
 
 class _ClassKernel:
@@ -376,9 +370,8 @@ def _kernel_row(group: FiniteGroup, i: int) -> _ClassKernel:
         classes = _class_data(group)[0]
         cid = class_id_array(group)
         k = len(classes)
-        support = np.zeros((k, k), dtype=bool)  # support[j, l]: C_l lies in C_i C_j
-        support[cid, cid[group.np_table()[classes[i].representative.index]]] = True
-        keys = np.flatnonzero(support)
+        keys = np.sort(cid * k + cid[group.np_table()[classes[i].representative.index]])
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
         kernel.eta[i] = np.bincount(keys // k, minlength=k)
         kernel.keys[i] = keys.astype(np.int32)
     return kernel
@@ -484,62 +477,85 @@ def is_normal(s: ElementSet) -> bool:
 
 
 def subgroup_generated(s: ElementSet) -> ElementSet:
-    """Closure of a set under products; the empty set generates the trivial group."""
+    """Closure of a set under products; the empty set generates the trivial group.
+
+    Each round multiplies the new elements by every generator and squares
+    them, so a cyclic subgroup of order m takes O(log m) rounds, not m.
+    """
     group = s.group
-    table = group.table
-    gens = list(s)
-    mask = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = table[x]
-            for g in gens:
-                y = row[g]
-                if not (mask >> y) & 1:
-                    mask |= 1 << y
-                    nxt.append(y)
-        frontier = nxt
-    return ElementSet(group, mask)
+    t = group.np_table()
+    gens = np.flatnonzero(_member_array(s))
+    member = np.arange(group.order) == 0  # the identity
+    frontier = np.flatnonzero(member)
+    while frontier.size:
+        reached = member.copy()
+        reached[t[frontier, frontier]] = True
+        for f0 in range(0, len(frontier), _BLOCK_ROWS):
+            reached[t[frontier[f0 : f0 + _BLOCK_ROWS, None], gens]] = True
+        frontier = np.flatnonzero(reached & ~member)
+        member = reached
+    return ElementSet(group, _mask_of(member, group.order))
+
+
+# -- normal subgroups ------------------------------------------------------
+#
+# A normal subgroup is the join of the closures of the classes it contains,
+# and the join of normal N and M is the product set NM: one closure per class
+# gives the rest by products (A. Hulpke, "Computing normal subgroups", 1998).
+
+
+def _class_closures(group: FiniteGroup) -> Tuple[int, ...]:
+    """The element mask of the normal closure of every class, in class order."""
+    cached = group._cache.get("class_closures")
+    if cached is None:
+        cached = group._cache["class_closures"] = tuple(
+            subgroup_generated(cls.carrier).mask for cls in conjugacy_classes(group)
+        )
+    return cached
+
+
+def _product(group: FiniteGroup, x: int, y: int) -> int:
+    """The mask of the product set XY of two normal subgroups, which is their join."""
+    if x & ~y == 0 or y & ~x == 0:
+        return x | y
+    t = group.np_table()
+    xs = np.flatnonzero(_member_array(ElementSet(group, x)))
+    ys = np.flatnonzero(_member_array(ElementSet(group, y)))
+    product = np.zeros(group.order, dtype=bool)
+    for x0 in range(0, len(xs), _BLOCK_ROWS):
+        product[t[xs[x0 : x0 + _BLOCK_ROWS, None], ys]] = True
+    return _mask_of(product, group.order)
+
+
+def _by_order_and_members(group: FiniteGroup, masks) -> Tuple[int, ...]:
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), ElementSet(group, m).members)))
 
 
 def normal_closure(a: Element) -> ElementSet:
-    """Least normal subgroup containing a: the closure of a's class."""
-    group = a.group
-    memo: Dict[int, int] = group._cache.setdefault("normal_closures", {})
-    cid = class_id_of(a)
-    mask = memo.get(cid)
-    if mask is None:
-        mask = subgroup_generated(conjugacy_class(a).carrier).mask
-        memo[cid] = mask
-    return ElementSet(group, mask)
+    """Least normal subgroup containing a: the subgroup generated by a's class."""
+    return ElementSet(a.group, _class_closures(a.group)[class_id_of(a)])
 
 
 def normal_subgroups(group: FiniteGroup) -> Tuple[ElementSet, ...]:
-    """All normal subgroups: joins of normal closures of class representatives."""
+    """All normal subgroups: the products of class closures."""
     cached = group._cache.get("normal_subgroups")
     if cached is None:
-        closures = {1}
-        for cls in conjugacy_classes(group):
-            closures.add(normal_closure(cls.representative).mask)
+        closures = set(_class_closures(group))
         found = set(closures)
-        worklist = list(closures)
+        worklist = list(found)
         while worklist:
             m = worklist.pop()
-            for other in list(found):
-                joined = subgroup_generated(ElementSet(group, m | other)).mask
+            for other in closures:
+                joined = _product(group, m, other)
                 if joined not in found:
                     found.add(joined)
                     worklist.append(joined)
-        cached = tuple(
-            sorted(found, key=lambda m: (m.bit_count(), ElementSet(group, m).members))
-        )
-        group._cache["normal_subgroups"] = cached
+        cached = group._cache["normal_subgroups"] = _by_order_and_members(group, found)
     return tuple(ElementSet(group, m) for m in cached)
 
 
 def minimal_normal_subgroups(group: FiniteGroup) -> List[ElementSet]:
-    """Nontrivial normal subgroups minimal under inclusion.
+    """Nontrivial normal subgroups minimal under inclusion: minimal class closures.
 
     Sorted by (order, member tuple). Raises TrivialGroup on the one-element
     group, which has none.
@@ -548,19 +564,9 @@ def minimal_normal_subgroups(group: FiniteGroup) -> List[ElementSet]:
         raise TrivialGroup("the trivial group has no minimal normal subgroups")
     cached = group._cache.get("minimal_normals")
     if cached is None:
-        closures = set()
-        for cls in conjugacy_classes(group):
-            if cls.representative.index != 0:
-                closures.add(normal_closure(cls.representative).mask)
-        minimal = [
-            m
-            for m in closures
-            if not any(other != m and other & ~m == 0 for other in closures)
-        ]
-        cached = tuple(
-            sorted(minimal, key=lambda m: (m.bit_count(), ElementSet(group, m).members))
-        )
-        group._cache["minimal_normals"] = cached
+        closures = set(_class_closures(group)[1:])  # class 0 is the identity's
+        minimal = [m for m in closures if not any(c != m and c & ~m == 0 for c in closures)]
+        cached = group._cache["minimal_normals"] = _by_order_and_members(group, minimal)
     return [ElementSet(group, m) for m in cached]
 
 
@@ -661,45 +667,35 @@ def is_nilpotent(group: FiniteGroup) -> bool:
 def is_supersolvable(group: FiniteGroup, tie_break: Optional[random.Random] = None) -> bool:
     """Whether one chief series (hence any) has all factors of prime order.
 
-    The series is built by repeatedly taking a minimal normal subgroup of the
-    current quotient; the canonical choice is the least one by (order,
-    members). Passing a random tie_break picks among the minimal candidates
-    instead, which must not change the verdict.
+    The series stays inside G. Over the current term N, the next term is
+    NM for a class closure M not inside N of least index |NM : N| =
+    |M| / |M & N|, read from popcounts; such an NM is minimal normal over
+    N. The canonical M is the first in class order, whose NM is the least
+    by (order, members); a random tie_break picks among those M instead,
+    which by Jordan-Hoelder must not change the verdict.
     """
     if tie_break is None:
         cached = group._cache.get("is_supersolvable")
         if cached is not None:
             return cached
-    current = group
-    verdict = True
-    while current.order > 1:
-        candidates = minimal_normal_subgroups(current)
-        chosen = tie_break.choice(candidates) if tie_break is not None else candidates[0]
-        if not _is_prime(len(chosen)):
-            verdict = False
+    closures = _class_closures(group)
+    full = (1 << group.order) - 1
+    current = 1
+    while current != full:
+        index = {m: m.bit_count() // (m & current).bit_count() for m in closures if m & ~current}
+        least = min(index.values())
+        if not _is_prime(least):
             break
-        current = quotient(current, chosen).quotient
+        choices = [m for m, i in index.items() if i == least]  # in class order
+        chosen = tie_break.choice(choices) if tie_break is not None else choices[0]
+        current = _product(group, current, chosen)
+    verdict = current == full
     if tie_break is None:
         group._cache["is_supersolvable"] = verdict
     return verdict
 
 
 def is_simple_nonabelian(group: FiniteGroup) -> bool:
-    """Nonabelian with no proper nontrivial normal subgroup.
-
-    Every normal closure of a nonidentity element must be the whole group;
-    closures are constant on classes, so representatives suffice.
-    """
-    cached = group._cache.get("is_simple_nonabelian")
-    if cached is None:
-        if is_abelian(group):
-            cached = False
-        else:
-            full = (1 << group.order) - 1
-            cached = all(
-                normal_closure(cls.representative).mask == full
-                for cls in conjugacy_classes(group)
-                if cls.representative.index != 0
-            )
-        group._cache["is_simple_nonabelian"] = cached
-    return cached
+    """Nonabelian, and every nonidentity class generates the whole group."""
+    full = (1 << group.order) - 1
+    return not is_abelian(group) and all(m == full for m in _class_closures(group)[1:])

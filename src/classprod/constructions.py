@@ -255,11 +255,8 @@ def odd_eta1_witness(n: int, max_order: Optional[int] = None) -> Tuple[FiniteGro
     group: Optional[FiniteGroup] = None
     witness = 0
     for prime, e in factors:
-        base = extraspecial_p3(prime, max_order=max_order)
-        block, w = base, prime * prime  # (1,0,0)
-        for i in range(2, e + 1):
-            block = direct_product(block, base, group_id=f"es:{prime}^{i}", max_order=max_order)
-            w = w * base.order + prime * prime
+        block = es_power(prime, e, max_order=max_order)
+        w = sum(prime ** (3 * i + 2) for i in range(e))  # (1,0,0) in each copy
         if group is None:
             group, witness = block, w
         else:
