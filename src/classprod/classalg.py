@@ -99,19 +99,14 @@ class ElementSet:
         return self.mask & other.mask == 0
 
     def conjugate_by(self, g: int) -> "ElementSet":
+        """The set {g^-1*s*g : s in this set}."""
         grp = self.group
-        mask = 0
-        for x in self:
-            mask |= 1 << grp.conj(x, g)
-        return ElementSet(grp, mask)
+        left = set_product(ElementSet(grp, 1 << grp.inv(g)), self)
+        return set_product(left, ElementSet(grp, 1 << g))
 
     def translate_left(self, c: int) -> "ElementSet":
         """The set {c*s : s in this set}."""
-        row = self.group.table[c]
-        mask = 0
-        for x in self:
-            mask |= 1 << row[x]
-        return ElementSet(self.group, mask)
+        return set_product(ElementSet(self.group, 1 << c), self)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -175,8 +170,8 @@ class QuotientMap:
 
 # -- class table ---------------------------------------------------------
 
-# Rows per block of the centralizer compare; its boolean block is 1 MiB at
-# the order cap, against 16 MiB for the whole table at once.
+# Rows per block of the centralizer compare and the set-product gather; a
+# boolean block is 1 MiB at the order cap, against 16 MiB for the whole table.
 _BLOCK_ROWS = 256
 
 
@@ -328,17 +323,20 @@ def is_abelian(group: FiniteGroup) -> bool:
 # -- set products and decomposition --------------------------------------
 
 
+def _products(group: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The membership vector of {u*v : u in xs, v in ys}, gathered a block of rows at a time."""
+    t = group.np_table()
+    member = np.zeros(group.order, dtype=bool)
+    for x0 in range(0, len(xs), _BLOCK_ROWS):
+        member[t[xs[x0 : x0 + _BLOCK_ROWS, None], ys]] = True
+    return member
+
+
 def set_product(x: ElementSet, y: ElementSet) -> ElementSet:
     """The product set {u*v : u in x, v in y}."""
     x._require_same(y)
-    table = x.group.table
-    ys = list(y)
-    mask = 0
-    for u in x:
-        row = table[u]
-        for v in ys:
-            mask |= 1 << row[v]
-    return ElementSet(x.group, mask)
+    xs, ys = (np.flatnonzero(_member_array(s)) for s in (x, y))
+    return ElementSet(x.group, _mask_of(_products(x.group, xs, ys), x.group.order))
 
 
 # -- class-support kernel ----------------------------------------------------
@@ -448,19 +446,7 @@ def is_subgroup(s: ElementSet) -> bool:
     memo: Dict[int, bool] = s.group._cache.setdefault("is_subgroup_memo", {})
     verdict = memo.get(s.mask)
     if verdict is None:
-        verdict = True
-        mask = s.mask
-        table = s.group.table
-        ms = list(s)
-        for u in ms:
-            row = table[u]
-            for v in ms:
-                if not (mask >> row[v]) & 1:
-                    verdict = False
-                    break
-            if not verdict:
-                break
-        memo[s.mask] = verdict
+        verdict = memo[s.mask] = set_product(s, s).issubset(s)
     return verdict
 
 
@@ -488,10 +474,8 @@ def subgroup_generated(s: ElementSet) -> ElementSet:
     member = np.arange(group.order) == 0  # the identity
     frontier = np.flatnonzero(member)
     while frontier.size:
-        reached = member.copy()
+        reached = member | _products(group, frontier, gens)
         reached[t[frontier, frontier]] = True
-        for f0 in range(0, len(frontier), _BLOCK_ROWS):
-            reached[t[frontier[f0 : f0 + _BLOCK_ROWS, None], gens]] = True
         frontier = np.flatnonzero(reached & ~member)
         member = reached
     return ElementSet(group, _mask_of(member, group.order))
@@ -515,16 +499,10 @@ def _class_closures(group: FiniteGroup) -> Tuple[int, ...]:
 
 
 def _product(group: FiniteGroup, x: int, y: int) -> int:
-    """The mask of the product set XY of two normal subgroups, which is their join."""
+    """The mask of XY for normal subgroups X and Y: their join, or the larger if nested."""
     if x & ~y == 0 or y & ~x == 0:
         return x | y
-    t = group.np_table()
-    xs = np.flatnonzero(_member_array(ElementSet(group, x)))
-    ys = np.flatnonzero(_member_array(ElementSet(group, y)))
-    product = np.zeros(group.order, dtype=bool)
-    for x0 in range(0, len(xs), _BLOCK_ROWS):
-        product[t[xs[x0 : x0 + _BLOCK_ROWS, None], ys]] = True
-    return _mask_of(product, group.order)
+    return set_product(ElementSet(group, x), ElementSet(group, y)).mask
 
 
 def _by_order_and_members(group: FiniteGroup, masks) -> Tuple[int, ...]:
@@ -564,8 +542,12 @@ def minimal_normal_subgroups(group: FiniteGroup) -> List[ElementSet]:
         raise TrivialGroup("the trivial group has no minimal normal subgroups")
     cached = group._cache.get("minimal_normals")
     if cached is None:
-        closures = set(_class_closures(group)[1:])  # class 0 is the identity's
-        minimal = [m for m in closures if not any(c != m and c & ~m == 0 for c in closures)]
+        closures = _class_closures(group)
+        sizes = [m.bit_count() for m in closures]
+        size_of = np.array(sizes)[class_id_array(group)]  # the closure order of each element
+        # M is minimal when every member but the identity (bit 0) generates all of M
+        fills = {s: _mask_of(size_of == s, group.order) for s in set(sizes)}
+        minimal = {m for m, s in zip(closures[1:], sizes[1:]) if m & ~fills[s] == 1}
         cached = group._cache["minimal_normals"] = _by_order_and_members(group, minimal)
     return [ElementSet(group, m) for m in cached]
 

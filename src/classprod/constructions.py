@@ -7,10 +7,9 @@ group_id of the group it builds.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +37,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_order(label: str, factors: Sequence[int], max_order: Optional[int]) -> None:
+    """Raise OrderExceeded as soon as the running product of factors passes the cap."""
+    cap = max_order_cap() if max_order is None else max_order
+    order = 1
+    for i, f in enumerate(factors, 1):
+        order *= f
+        if order > cap:
+            shown = order if i == len(factors) else f"at least {order}"
+            raise OrderExceeded(f"{label} has order {shown}, over the cap {cap}")
+
+
 # -- permutation-model families -------------------------------------------
 
 
@@ -45,6 +55,7 @@ def cyclic(n: int, max_order: Optional[int] = None) -> FiniteGroup:
     """Cyclic group of order n, generated by the n-cycle (1 2 ... n)."""
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
+    _check_order(f"cyclic:{n}", (n,), max_order)
     if n == 1:
         gens = [Permutation.identity(1)]
     else:
@@ -56,6 +67,7 @@ def dihedral(n: int, max_order: Optional[int] = None) -> FiniteGroup:
     """Dihedral group of order 2n: rotation (1..n) plus the reflection fixing 1."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
+    _check_order(f"dihedral:{n}", (n, 2), max_order)
     if n == 1:
         gens = [Permutation.from_cycles(2, [(1, 2)])]
     elif n == 2:
@@ -71,9 +83,7 @@ def symmetric(n: int, max_order: Optional[int] = None) -> FiniteGroup:
     """Symmetric group on n points; n! must stay under the order cap."""
     if n < 1:
         raise ValueError(f"symmetric degree must be >= 1, got {n}")
-    cap = max_order_cap() if max_order is None else max_order
-    if math.factorial(n) > cap:
-        raise OrderExceeded(f"sym:{n} has order {math.factorial(n)}, over the cap {cap}")
+    _check_order(f"sym:{n}", range(2, n + 1), max_order)
     if n == 1:
         gens = [Permutation.identity(1)]
     elif n == 2:
@@ -90,10 +100,7 @@ def alternating(n: int, max_order: Optional[int] = None) -> FiniteGroup:
     """Alternating group on n points, generated by consecutive 3-cycles."""
     if n < 1:
         raise ValueError(f"alternating degree must be >= 1, got {n}")
-    order = math.factorial(n) // 2 if n > 1 else 1
-    cap = max_order_cap() if max_order is None else max_order
-    if order > cap:
-        raise OrderExceeded(f"alt:{n} has order {order}, over the cap {cap}")
+    _check_order(f"alt:{n}", range(3, n + 1), max_order)  # n!/2, or 1 for n <= 2
     if n <= 2:
         gens = [Permutation.identity(max(n, 1))]
     else:
@@ -145,12 +152,10 @@ def extraspecial_p3(p: int, max_order: Optional[int] = None) -> FiniteGroup:
     (a, b, c) * (a', b', c') = (a + a', b + b', c + c' + a*b'),
     indexed as a*p^2 + b*p + c. The center is {(0, 0, c)}.
     """
+    _check_order(f"es:{p}", (p, p, p), max_order)  # before the trial division
     if p == 2 or not _is_prime(p):
         raise NotOddPrime(f"extraspecial p^3 model needs an odd prime, got {p}")
     n = p ** 3
-    cap = max_order_cap() if max_order is None else max_order
-    if n > cap:
-        raise OrderExceeded(f"es:{p} has order {n}, over the cap {cap}")
     idx = np.arange(n, dtype=np.int64)
     a, b, c = idx // (p * p), (idx // p) % p, idx % p
     a1, b1, c1 = a[:, None], b[:, None], c[:, None]
@@ -180,12 +185,8 @@ def direct_product(
     max_order: Optional[int] = None,
 ) -> FiniteGroup:
     """Direct product with x-major indexing: (x, y) -> x*|K| + y."""
+    _check_order(f"prod({g.group_id},{k.group_id})", (g.order, k.order), max_order)
     n = g.order * k.order
-    cap = max_order_cap() if max_order is None else max_order
-    if n > cap:
-        raise OrderExceeded(
-            f"prod({g.group_id},{k.group_id}) has order {n}, over the cap {cap}"
-        )
     go, ko = g.order, k.order
     table = np.empty((n, n), dtype=np.int32)
     np.add(
@@ -231,9 +232,7 @@ def odd_eta1_witness(n: int, max_order: Optional[int] = None) -> Tuple[FiniteGro
     """
     if n < 1 or n % 2 == 0:
         raise EvenN(f"witness construction needs odd n >= 1, got {n}")
-    cap = max_order_cap() if max_order is None else max_order
-    if n ** 3 > cap:
-        raise OrderExceeded(f"witness for n={n} has order {n ** 3}, over the cap {cap}")
+    _check_order(f"witness for n={n}", (n, n, n), max_order)
     if n == 1:
         g = cyclic(1, max_order=max_order)
         return g, Element(g, 0)
@@ -268,6 +267,9 @@ def odd_eta1_witness(n: int, max_order: Optional[int] = None) -> Tuple[FiniteGro
 
 # -- spec strings ----------------------------------------------------------
 
+# Deepest prod(...) nesting parse() accepts, well inside Python's recursion limit.
+_MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -294,6 +296,8 @@ class GroupSpec:
             for i, ch in enumerate(inner):
                 if ch == "(":
                     depth += 1
+                    if depth >= _MAX_NESTING:  # parse recurses once per level
+                        raise ValueError(f"prod(...) nested more than {_MAX_NESTING} deep")
                 elif ch == ")":
                     depth -= 1
                     if depth < 0:
@@ -360,11 +364,22 @@ class GroupSpec:
             p, copies = self.params
             return f"es:{p}" if copies == 1 else f"es:{p}^{copies}"
         if self.kind == "direct_product":
-            left, right = self.params
-            return f"prod({left.canonical()},{right.canonical()})"
+            head, factors = self._factors()
+            out = head.canonical()
+            for right in factors:
+                out = f"prod({out},{right.canonical()})"
+            return out
         if self.kind == "from_file":
             return f"file:{os.path.basename(self.params[0])}"
         raise ValueError(f"unknown spec kind {self.kind!r}")
+
+    def _factors(self) -> Tuple["GroupSpec", List["GroupSpec"]]:
+        """The first factor of a left-nested product and the others in order, without recursion."""
+        node, rights = self, []
+        while node.kind == "direct_product":
+            node, right = node.params
+            rights.append(right)
+        return node, rights[::-1]
 
     def build(self, max_order: Optional[int] = None) -> FiniteGroup:
         if self.kind == "quaternion8":
@@ -381,13 +396,13 @@ class GroupSpec:
             p, copies = self.params
             return es_power(p, copies, max_order=max_order)
         if self.kind == "direct_product":
-            left, right = self.params
-            return direct_product(
-                left.build(max_order=max_order),
-                right.build(max_order=max_order),
-                group_id=self.canonical(),
-                max_order=max_order,
-            )
+            head, factors = self._factors()
+            group, gid = head.build(max_order=max_order), head.canonical()
+            for right in factors:
+                gid = f"prod({gid},{right.canonical()})"
+                k = right.build(max_order=max_order)
+                group = direct_product(group, k, group_id=gid, max_order=max_order)
+            return group
         if self.kind == "from_file":
             return _build_from_file(self.params[0], self.canonical(), max_order)
         raise ValueError(f"unknown spec kind {self.kind!r}")

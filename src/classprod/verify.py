@@ -342,9 +342,8 @@ def _product_formula_pair(out: _Tally, a: Element, b: Element) -> None:
                 "only_rhs": list(rhs - lhs),
             }
         )
-    if a_b == a.index:
-        plain = _translate(g, ab, _comm_product(g, a.index, b.index))
-        if lhs == plain:
+    if a_b == a.index:  # then rhs is already ab.[a,G].[b,G]
+        if lhs == rhs:
             out.clause("commuting-case", "holds")
         else:
             out.clause(
@@ -355,7 +354,7 @@ def _product_formula_pair(out: _Tally, a: Element, b: Element) -> None:
                     "b": b.index,
                     "clause": "commuting-case",
                     "lhs_size": len(lhs),
-                    "rhs_size": len(plain),
+                    "rhs_size": len(rhs),
                 },
             )
 
