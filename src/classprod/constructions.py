@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -37,15 +38,38 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_order(label: str, factors: Sequence[int], max_order: Optional[int]) -> None:
-    """Raise OrderExceeded as soon as the running product of factors passes the cap."""
+def _check_order(label: str, factors: Iterable[int], max_order: Optional[int]) -> None:
+    """Raise OrderExceeded as soon as the running product of the (lazy) factors passes the cap."""
     cap = max_order_cap() if max_order is None else max_order
     order = 1
-    for i, f in enumerate(factors, 1):
+    rest = iter(factors)
+    for f in rest:
         order *= f
         if order > cap:
-            shown = order if i == len(factors) else f"at least {order}"
+            shown = order if next(rest, None) is None else f"at least {order}"
             raise OrderExceeded(f"{label} has order {shown}, over the cap {cap}")
+
+
+# The integer families: kind -> spec prefix and the factors of the order, read by the
+# builders and a product's cap check. build() looks up the builder named kind at call time.
+_FAMILIES: Dict[str, Tuple[str, Callable[[int], Iterable[int]]]] = {
+    "cyclic": ("cyclic", lambda n: (n,)),
+    "dihedral": ("dihedral", lambda n: (n, 2)),
+    "symmetric": ("sym", lambda n: range(2, n + 1)),
+    "alternating": ("alt", lambda n: range(3, n + 1)),  # n!/2, or 1 for n <= 2
+}
+_KINDS = {"dih": "dihedral", **{prefix: kind for kind, (prefix, _) in _FAMILIES.items()}}
+
+
+def _check_family(kind: str, n: int, max_order: Optional[int]) -> None:
+    prefix, factors = _FAMILIES[kind]
+    _check_order(f"{prefix}:{n}", factors(n), max_order)
+
+
+def _es_factors(p: int, copies: int = 1) -> Iterable[int]:
+    # Lazy (itertools.repeat's count must fit a C ssize_t), and none for p < 2,
+    # which the prime check rejects, so es:1^1000000000 costs nothing.
+    return (p for _ in range(3 * copies)) if p > 1 else ()
 
 
 # -- permutation-model families -------------------------------------------
@@ -55,7 +79,7 @@ def cyclic(n: int, max_order: Optional[int] = None) -> FiniteGroup:
     """Cyclic group of order n, generated by the n-cycle (1 2 ... n)."""
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
-    _check_order(f"cyclic:{n}", (n,), max_order)
+    _check_family("cyclic", n, max_order)
     if n == 1:
         gens = [Permutation.identity(1)]
     else:
@@ -67,7 +91,7 @@ def dihedral(n: int, max_order: Optional[int] = None) -> FiniteGroup:
     """Dihedral group of order 2n: rotation (1..n) plus the reflection fixing 1."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-    _check_order(f"dihedral:{n}", (n, 2), max_order)
+    _check_family("dihedral", n, max_order)
     if n == 1:
         gens = [Permutation.from_cycles(2, [(1, 2)])]
     elif n == 2:
@@ -83,7 +107,7 @@ def symmetric(n: int, max_order: Optional[int] = None) -> FiniteGroup:
     """Symmetric group on n points; n! must stay under the order cap."""
     if n < 1:
         raise ValueError(f"symmetric degree must be >= 1, got {n}")
-    _check_order(f"sym:{n}", range(2, n + 1), max_order)
+    _check_family("symmetric", n, max_order)
     if n == 1:
         gens = [Permutation.identity(1)]
     elif n == 2:
@@ -100,7 +124,7 @@ def alternating(n: int, max_order: Optional[int] = None) -> FiniteGroup:
     """Alternating group on n points, generated by consecutive 3-cycles."""
     if n < 1:
         raise ValueError(f"alternating degree must be >= 1, got {n}")
-    _check_order(f"alt:{n}", range(3, n + 1), max_order)  # n!/2, or 1 for n <= 2
+    _check_family("alternating", n, max_order)
     if n <= 2:
         gens = [Permutation.identity(max(n, 1))]
     else:
@@ -152,7 +176,7 @@ def extraspecial_p3(p: int, max_order: Optional[int] = None) -> FiniteGroup:
     (a, b, c) * (a', b', c') = (a + a', b + b', c + c' + a*b'),
     indexed as a*p^2 + b*p + c. The center is {(0, 0, c)}.
     """
-    _check_order(f"es:{p}", (p, p, p), max_order)  # before the trial division
+    _check_order(f"es:{p}", _es_factors(p), max_order)  # before the trial division
     if p == 2 or not _is_prime(p):
         raise NotOddPrime(f"extraspecial p^3 model needs an odd prime, got {p}")
     n = p ** 3
@@ -215,8 +239,7 @@ def es_power(p: int, copies: int, max_order: Optional[int] = None) -> FiniteGrou
     """Direct product of `copies` copies of the extraspecial p^3 group."""
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
-    base = extraspecial_p3(p, max_order=max_order)
-    g = base
+    g = base = extraspecial_p3(p, max_order=max_order)
     for i in range(2, copies + 1):
         g = direct_product(g, base, group_id=f"es:{p}^{i}", max_order=max_order)
     return g
@@ -237,31 +260,21 @@ def odd_eta1_witness(n: int, max_order: Optional[int] = None) -> Tuple[FiniteGro
         g = cyclic(1, max_order=max_order)
         return g, Element(g, 0)
 
-    factors: List[Tuple[int, int]] = []
-    rest = n
-    p = 3
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            factors.append((p, e))
+    factors: Dict[int, int] = {}  # prime -> exponent, ascending
+    rest, p = n, 3
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        while rest % p == 0:
+            rest //= p
+            factors[p] = factors.get(p, 0) + 1
         p += 2
-    if rest > 1:
-        factors.append((rest, 1))
 
-    group: Optional[FiniteGroup] = None
+    blocks = tuple(GroupSpec("extraspecial_p3", f) for f in factors.items())
+    group = (blocks[0] if len(blocks) == 1 else GroupSpec("direct_product", blocks)).build(max_order)
     witness = 0
-    for prime, e in factors:
-        block = es_power(prime, e, max_order=max_order)
-        w = sum(prime ** (3 * i + 2) for i in range(e))  # (1,0,0) in each copy
-        if group is None:
-            group, witness = block, w
-        else:
-            witness = witness * block.order + w
-            group = direct_product(group, block, max_order=max_order)
-    assert group is not None
+    for prime, e in factors.items():  # (1,0,0) in each copy, x-major across the blocks
+        witness = witness * prime ** (3 * e) + sum(prime ** (3 * i + 2) for i in range(e))
     return group, Element(group, witness)
 
 
@@ -271,13 +284,24 @@ def odd_eta1_witness(n: int, max_order: Optional[int] = None) -> Tuple[FiniteGro
 _MAX_NESTING = 100
 
 
+def _param(value: str, head: str, bad: str) -> int:
+    """An integer spec parameter written in ASCII digits; ValueError(bad) otherwise."""
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(bad)
+    try:
+        return int(value)
+    except ValueError:  # over int()'s limit on digits
+        raise ValueError(f"parameter of {head!r} has {len(value)} digits, too many") from None
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A parsed group description.
 
     kind is one of cyclic, dihedral, symmetric, alternating, quaternion8,
-    extraspecial_p3, direct_product, from_file; params carries the ints,
-    child specs, or path.
+    extraspecial_p3, direct_product, from_file; params carries the ints, the
+    path, or a product's factors in order. A first factor that is itself a
+    product is spliced in, so prod(prod(a,b),c) and prod(a,b,c) are equal.
     """
 
     kind: str
@@ -311,10 +335,9 @@ class GroupSpec:
             if len(parts) < 2:
                 raise ValueError(f"prod(...) needs at least two factors: {text!r}")
             specs = [cls.parse(p) for p in parts]
-            out = specs[0]
-            for nxt in specs[1:]:
-                out = cls("direct_product", (out, nxt))
-            return out
+            if specs[0].kind == "direct_product":
+                specs[:1] = specs[0].params
+            return cls("direct_product", tuple(specs))
         if s.startswith("file:"):
             path = s[5:].strip()
             if not path:
@@ -325,83 +348,60 @@ class GroupSpec:
         head, _, tail = s.partition(":")
         if head == "es":
             base, _, power = tail.partition("^")
-            copies = 1
-            if power:
-                if not power.isdigit() or int(power) < 1:
-                    raise ValueError(f"bad es power in {text!r}")
-                copies = int(power)
-            if not base.isdigit():
-                raise ValueError(f"bad es prime in {text!r}")
-            return cls("extraspecial_p3", (int(base), copies))
-        kinds = {
-            "cyclic": "cyclic",
-            "dihedral": "dihedral",
-            "dih": "dihedral",
-            "sym": "symmetric",
-            "alt": "alternating",
-        }
-        if head not in kinds:
+            bad_power = f"bad es power in {text!r}"
+            copies = _param(power, head, bad_power) if power else 1
+            if copies < 1:
+                raise ValueError(bad_power)
+            return cls("extraspecial_p3", (_param(base, head, f"bad es prime in {text!r}"), copies))
+        if head not in _KINDS:
             raise ValueError(f"unrecognized group spec {text!r}")
-        if not tail.isdigit():
-            raise ValueError(f"parameter of {head!r} must be a positive integer: {text!r}")
-        value = int(tail)
+        value = _param(tail, head, f"parameter of {head!r} must be a positive integer: {text!r}")
         if value < 1:
             raise ValueError(f"parameter of {head!r} must be >= 1: {text!r}")
-        return cls(kinds[head], (value,))
+        return cls(_KINDS[head], (value,))
 
     def canonical(self) -> str:
+        if self.kind in _FAMILIES:
+            return f"{_FAMILIES[self.kind][0]}:{self.params[0]}"
         if self.kind == "quaternion8":
             return "q8"
-        if self.kind == "cyclic":
-            return f"cyclic:{self.params[0]}"
-        if self.kind == "dihedral":
-            return f"dihedral:{self.params[0]}"
-        if self.kind == "symmetric":
-            return f"sym:{self.params[0]}"
-        if self.kind == "alternating":
-            return f"alt:{self.params[0]}"
         if self.kind == "extraspecial_p3":
             p, copies = self.params
             return f"es:{p}" if copies == 1 else f"es:{p}^{copies}"
         if self.kind == "direct_product":
-            head, factors = self._factors()
-            out = head.canonical()
-            for right in factors:
-                out = f"prod({out},{right.canonical()})"
+            out, *rest = (f.canonical() for f in self.params)
+            for right in rest:
+                out = f"prod({out},{right})"
             return out
         if self.kind == "from_file":
             return f"file:{os.path.basename(self.params[0])}"
         raise ValueError(f"unknown spec kind {self.kind!r}")
 
-    def _factors(self) -> Tuple["GroupSpec", List["GroupSpec"]]:
-        """The first factor of a left-nested product and the others in order, without recursion."""
-        node, rights = self, []
-        while node.kind == "direct_product":
-            node, right = node.params
-            rights.append(right)
-        return node, rights[::-1]
+    def _order_factors(self) -> Iterable[int]:
+        """The factors of the order that the spec itself gives, lazily; a file gives none."""
+        if self.kind in _FAMILIES:
+            return _FAMILIES[self.kind][1](self.params[0])
+        if self.kind == "extraspecial_p3":
+            return _es_factors(*self.params)
+        if self.kind == "direct_product":
+            return chain.from_iterable(f._order_factors() for f in self.params)
+        return (8,) if self.kind == "quaternion8" else ()
 
     def build(self, max_order: Optional[int] = None) -> FiniteGroup:
+        if self.kind in _FAMILIES:
+            return globals()[self.kind](self.params[0], max_order=max_order)
         if self.kind == "quaternion8":
             return quaternion8()
-        if self.kind == "cyclic":
-            return cyclic(self.params[0], max_order=max_order)
-        if self.kind == "dihedral":
-            return dihedral(self.params[0], max_order=max_order)
-        if self.kind == "symmetric":
-            return symmetric(self.params[0], max_order=max_order)
-        if self.kind == "alternating":
-            return alternating(self.params[0], max_order=max_order)
         if self.kind == "extraspecial_p3":
-            p, copies = self.params
-            return es_power(p, copies, max_order=max_order)
+            return es_power(*self.params, max_order=max_order)
         if self.kind == "direct_product":
-            head, factors = self._factors()
-            group, gid = head.build(max_order=max_order), head.canonical()
-            for right in factors:
-                gid = f"prod({gid},{right.canonical()})"
-                k = right.build(max_order=max_order)
-                group = direct_product(group, k, group_id=gid, max_order=max_order)
+            # before any factor is built; with a file unread, a trailing 1 makes it "at least"
+            gid = self.canonical()
+            unread = (1,) if "file:" in gid else ()
+            _check_order(gid, chain(self._order_factors(), unread), max_order)
+            group = self.params[0].build(max_order=max_order)
+            for right in self.params[1:]:  # each group_id is its spec's canonical string
+                group = direct_product(group, right.build(max_order=max_order), max_order=max_order)
             return group
         if self.kind == "from_file":
             return _build_from_file(self.params[0], self.canonical(), max_order)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -279,6 +278,9 @@ def scan_homogeneous(
     size = pool_size(workers, len(tasks), os.cpu_count())
     rows: List[ScanRow] = []
     if size > 1:
+        # imported here: it pulls in multiprocessing, socket and subprocess on every run
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=size) as pool:
             for chunk in pool.map(_scan_one, tasks):
                 rows.extend(chunk)
