@@ -55,9 +55,6 @@ class ElementSet:
     def members(self) -> Tuple[int, ...]:
         return tuple(self)
 
-    def member_elements(self) -> List[Element]:
-        return [Element(self.group, i) for i in self]
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -182,13 +179,17 @@ def _mask_of(indices: np.ndarray, n: int) -> int:
     return int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
 
 
-def _conjugates(group: FiniteGroup, a: int) -> np.ndarray:
-    """a^g = g^-1 * a * g for every g, in g order."""
+def _inverse_array(group: FiniteGroup) -> np.ndarray:
     inv = group._cache.get("np_inverse")
     if inv is None:
         inv = group._cache["np_inverse"] = np.asarray(group.inverse_table)
+    return inv
+
+
+def _conjugates(group: FiniteGroup, a: int) -> np.ndarray:
+    """a^g = g^-1 * a * g for every g, in g order."""
     t = group.np_table()
-    return t[t[inv, a], np.arange(group.order)]
+    return t[t[_inverse_array(group), a], np.arange(group.order)]
 
 
 def _class_data(group: FiniteGroup) -> Tuple[Tuple[ConjugacyClass, ...], List[int]]:
@@ -231,11 +232,16 @@ def _class_counts(x: "ElementSet") -> Tuple[np.ndarray, np.ndarray]:
     return member, np.bincount(cid[member], minlength=len(_class_data(x.group)[0]))
 
 
-def _class_sizes(group: FiniteGroup) -> np.ndarray:
-    sizes = group._cache.get("np_class_sizes")
-    if sizes is None:
-        sizes = group._cache["np_class_sizes"] = np.bincount(class_id_array(group))
-    return sizes
+def _class_blocks(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every element listed class by class, in index order within a class,
+    with the start and the size of each class's block in that list.
+    """
+    blocks = group._cache.get("class_blocks")
+    if blocks is None:
+        sizes = np.bincount(class_id_array(group))
+        order = np.argsort(class_id_array(group), kind="stable")
+        blocks = group._cache["class_blocks"] = (order, np.cumsum(sizes) - sizes, sizes)
+    return blocks
 
 
 def conjugacy_classes(group: FiniteGroup) -> Tuple[ConjugacyClass, ...]:
@@ -292,26 +298,43 @@ def commutator_set(a: Element) -> ElementSet:
     memo: Dict[int, int] = group._cache.setdefault("commutator_masks", {})
     mask = memo.get(a.index)
     if mask is None:
-        members = _class_members(group, class_id_of(a))
+        order, starts, sizes = _class_blocks(group)
+        i = class_id_of(a)
+        members = order[starts[i] : starts[i] + sizes[i]]
         commutators = group.np_table()[group.inverse_table[a.index], members]
         mask = memo[a.index] = _mask_of(commutators, group.order)
     return ElementSet(group, mask)
 
 
-def _class_members(group: FiniteGroup, i: int) -> np.ndarray:
-    """The members of class i, in index order."""
-    memo: Dict[int, np.ndarray] = group._cache.setdefault("class_members", {})
-    members = memo.get(i)
-    if members is None:
-        members = memo[i] = np.flatnonzero(class_id_array(group) == i)
-    return members
+def commutator_set_ids(group: FiniteGroup) -> Tuple[np.ndarray, List[int]]:
+    """An id for every element's commutator set, equal exactly when the sets
+    are equal, and one element with each id.
+
+    [x,G] = x^-1 x^G, so the sets of the members x of a class C are the rows
+    of one gather T[inv[C]][:, C]; sorted, a row is its set's key across
+    all classes.
+    """
+    cached = group._cache.get("commutator_set_ids")
+    if cached is None:
+        t, inv = group.np_table(), _inverse_array(group)
+        order, starts, sizes = _class_blocks(group)
+        ids = np.empty(group.order, dtype=np.int64)
+        seen: Dict[bytes, Tuple[int, int]] = {}  # set -> (its id, the first member seen)
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            members = order[start : start + size]
+            block = np.sort(t[inv[members][:, None], members], axis=1)
+            for x, row in zip(members.tolist(), block):
+                ids[x] = seen.setdefault(row.tobytes(), (len(seen), x))[0]
+        ids.setflags(write=False)
+        cached = group._cache["commutator_set_ids"] = (ids, [x for _, x in seen.values()])
+    return cached
 
 
 def center(group: FiniteGroup) -> ElementSet:
     """Elements commuting with everything: the union of the one-element classes."""
     mask = group._cache.get("center_mask")
     if mask is None:
-        central = _class_sizes(group)[class_id_array(group)] == 1
+        central = _class_blocks(group)[2][class_id_array(group)] == 1
         mask = group._cache["center_mask"] = _mask_of(central, group.order)
     return ElementSet(group, mask)
 
@@ -375,13 +398,19 @@ def _kernel_row(group: FiniteGroup, i: int) -> _ClassKernel:
     return kernel
 
 
+def class_support_row(group: FiniteGroup, i: int) -> np.ndarray:
+    """Row i of the kernel: a sorted key j*k + l for each class C_l in C_i C_j."""
+    return _kernel_row(group, i).keys[i]
+
+
 def class_eta_matrix(group: FiniteGroup) -> np.ndarray:
     """eta(C_i C_j) for every ordered pair of classes, as a read-only k x k array."""
-    kernel = None
-    for i in range(len(_class_data(group)[0])):
-        kernel = _kernel_row(group, i)
-    view = kernel.eta.view()
-    view.setflags(write=False)
+    view = group._cache.get("class_eta")
+    if view is None:  # kept once every row is built
+        for i in range(len(_class_data(group)[0])):
+            kernel = _kernel_row(group, i)
+        view = group._cache["class_eta"] = kernel.eta.view()
+        view.setflags(write=False)
     return view
 
 
@@ -414,7 +443,7 @@ def decompose(x: ElementSet) -> ClassDecomposition:
     group = x.group
     classes = _class_data(group)[0]
     member, counts = _class_counts(x)
-    partial = (counts > 0) & (counts < _class_sizes(group))
+    partial = (counts > 0) & (counts < _class_blocks(group)[2])
     if partial.any():
         i = int(np.argmax(member & partial[class_id_array(group)]))
         g = int(np.argmin(member[_conjugates(group, i)]))
@@ -458,7 +487,7 @@ def is_normal(s: ElementSet) -> bool:
     verdict = memo.get(s.mask)
     if verdict is None:
         counts = _class_counts(s)[1]
-        verdict = memo[s.mask] = bool(np.all((counts == 0) | (counts == _class_sizes(s.group))))
+        verdict = memo[s.mask] = bool(np.all((counts == 0) | (counts == _class_blocks(s.group)[2])))
     return verdict
 
 

@@ -46,7 +46,10 @@ def _check_order(label: str, factors: Iterable[int], max_order: Optional[int]) -
     for f in rest:
         order *= f
         if order > cap:
-            shown = order if next(rest, None) is None else f"at least {order}"
+            if order.bit_length() > 64:  # named by a power of ten below it: 0.30102 < log10(2)
+                shown = f"at least 10^{(order.bit_length() - 1) * 30102 // 100000}"
+            else:
+                shown = order if next(rest, None) is None else f"at least {order}"
             raise OrderExceeded(f"{label} has order {shown}, over the cap {cap}")
 
 

@@ -435,8 +435,10 @@ def cayley_rows(group: FiniteGroup) -> List[List[int]]:
 def load_gens(path: str) -> Tuple[int, List[Permutation]]:
     """Read a .gens file: a 'degree d' line, then 'gen (cycles)' lines.
 
-    Lines may carry '#' comments. Cycles are 1-based and disjoint.
+    Lines may carry '#' comments. Cycles are 1-based and disjoint. A degree
+    over the order cap raises OrderExceeded before any permutation is built.
     """
+    cap = max_order_cap()
     degree: Optional[int] = None
     gens: List[Permutation] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -451,6 +453,8 @@ def load_gens(path: str) -> Tuple[int, List[Permutation]]:
                 if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                     raise ValueError(f"{path}:{lineno}: malformed degree line {line!r}")
                 degree = int(parts[1])
+                if degree > cap:
+                    raise OrderExceeded(f"{path}:{lineno}: degree {degree} is over the cap {cap}")
             elif line.startswith("gen"):
                 if degree is None:
                     raise ValueError(f"{path}:{lineno}: gen line before degree line")

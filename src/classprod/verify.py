@@ -2,8 +2,8 @@
 
 Every checker computes both sides of its claim through independent code
 paths: class products and their eta come from the class-support kernel,
-commutator-set products from set_product, membership conditions from
-commutator_set/is_normal, never deriving one side from the other.
+commutator-set products from table gathers, membership conditions from
+commutator sets and is_normal, never deriving one side from the other.
 A checker never adjudicates; it reports holds, fails, vacuous, or
 discrepancy (a sub-clause disagreeing while the main claim stands) together
 with witnesses.
@@ -25,7 +25,9 @@ from .classalg import (
     class_eta_matrix,
     class_id_array,
     class_product,
+    class_support_row,
     commutator_set,
+    commutator_set_ids,
     conjugacy_class,
     conjugacy_classes,
     decompose,
@@ -40,7 +42,8 @@ from .classalg import (
     minimal_normal_subgroups,
     quotient,
     QuotientMap,
-    set_product,
+    _class_blocks,
+    _inverse_array,
 )
 from .constructions import direct_product
 from .errors import GroupMismatch, HypothesisViolated
@@ -158,8 +161,8 @@ class _Tally:
     main claim failed, clause() folds a sub-clause verdict in by severity.
     """
 
-    def __init__(self) -> None:
-        self.checked = 0
+    def __init__(self, checked: int = 0) -> None:
+        self.checked = checked
         self.verdict = "holds"
         self.witnesses: List[dict] = []
         self.clauses: Dict[str, str] = {}
@@ -208,6 +211,30 @@ def _run(statement_id: str, group: FiniteGroup, check: Callable[..., None],
     return out.report(statement_id, group, notes)
 
 
+def _replay(statement_id: str, group: FiniteGroup, pair: Callable[..., None],
+            flagged: np.ndarray, holding: np.ndarray, columns: Sequence[np.ndarray],
+            notes: Iterable[str] = ()) -> VerifierReport:
+    """One report over pairs whose verdicts were computed in arrays.
+
+    pair(tally, group, *row) only builds witnesses and clauses. It runs, in
+    pair order, on the flagged pairs and on the first pair where the
+    statement's clause holds; every other pair would add nothing.
+    """
+    out = _Tally(len(flagged))
+    at = np.union1d(np.flatnonzero(flagged), np.flatnonzero(holding)[:1])
+    for row in zip(*(column[at].tolist() for column in columns)):
+        pair(out, group, *row)
+    return out.report(statement_id, group, notes)
+
+
+def _pair_arrays(group: FiniteGroup, a: Element, b: Element) -> Tuple[np.ndarray, np.ndarray]:
+    """One pair as the pair arrays of the batched checkers."""
+    for x in (a, b):
+        if x.group is not group:
+            raise GroupMismatch(f"element of {x.group_id!r} checked in {group.group_id!r}")
+    return np.array([a.index]), np.array([b.index])
+
+
 def _require_equal_centralizers(statement_id: str, a: Element, b: Element) -> None:
     if centralizer(a) != centralizer(b):
         raise HypothesisViolated(
@@ -222,13 +249,16 @@ def equal_centralizer_pairs(group: FiniteGroup) -> List[Tuple[Element, Element]]
     condition checked downstream is conjugation-covariant, so (a, b) and
     (a^g, b^g) stand or fall together.
     """
+    a, b = _equal_centralizer_arrays(group)
+    return [(Element(group, x), Element(group, y)) for x, y in zip(a.tolist(), b.tolist())]
+
+
+def _equal_centralizer_arrays(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray]:
     buckets = centralizer_buckets(group)
-    pairs: List[Tuple[Element, Element]] = []
-    for cls in conjugacy_classes(group):
-        a = cls.representative
-        for b in buckets[centralizer(a).mask]:
-            pairs.append((a, Element(group, b)))
-    return pairs
+    reps = [cls.representative for cls in conjugacy_classes(group)]
+    partners = [buckets[centralizer(a).mask] for a in reps]
+    a = np.repeat([r.index for r in reps], [len(p) for p in partners])
+    return a, np.concatenate(partners)
 
 
 # -- checkers: a public hypothesis gate over one pair, and the pair itself --
@@ -244,45 +274,70 @@ def check_theorem_a(group: FiniteGroup, a: Element, b: Element) -> VerifierRepor
     which is reported as a discrepancy, not a failure.
     """
     _require_equal_centralizers("theorem-a", a, b)
-    return _run("theorem-a", group, _theorem_a_pair, [(a, b)])
+    return _theorem_a_report(group, *_pair_arrays(group, a, b))
 
 
-def _theorem_a_pair(out: _Tally, a: Element, b: Element) -> None:
-    ab = a * b
-    lhs = class_product(a, b) == conjugacy_class(ab).carrier
-    sa = commutator_set(a)
-    sb = commutator_set(b)
-    sab = commutator_set(ab)
-    rhs = sa == sb and sb == sab and is_normal(sab)
-    if lhs != rhs:
+def _theorem_a_sides(group: FiniteGroup, a: np.ndarray,
+                     b: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Both sides of theorem A for every pair (a[p], b[p]), as arrays.
+
+    single: a^G b^G is one class, from the kernel's eta alone. match:
+    [a,G] = [b,G] = [ab,G], by commutator-set ids. normal_ab and normal_a:
+    whether [ab,G] and [a,G] are normal, one is_normal call per distinct set.
+    """
+    cid = class_id_array(group)
+    single = class_eta_matrix(group)[cid[a], cid[b]] == 1
+    ids, holders = commutator_set_ids(group)
+    ia, ib, iab = ids[a], ids[b], ids[group.np_table()[a, b]]
+    normal = np.zeros(len(holders), dtype=bool)
+    needed = np.bincount(np.concatenate((ia, iab)), minlength=len(holders))
+    for s in np.flatnonzero(needed).tolist():
+        normal[s] = is_normal(commutator_set(Element(group, holders[s])))
+    return single, (ia == ib) & (ib == iab), normal[iab], normal[ia]
+
+
+def _theorem_a_report(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> VerifierReport:
+    single, match, normal_ab, normal_a = _theorem_a_sides(group, a, b)
+    diagonal = a == b
+    return _replay(
+        "theorem-a", group, _theorem_a_pair,
+        (single != (match & normal_ab)) | (diagonal & (single != normal_a)),
+        diagonal & (single == normal_a),
+        (a, b, single, match, normal_ab, normal_a),
+    )
+
+
+def _theorem_a_pair(out: _Tally, group: FiniteGroup, a: int, b: int, single: bool,
+                    match: bool, normal_ab: bool, normal_a: bool) -> None:
+    x, y = Element(group, a), Element(group, b)
+    if single != (match and normal_ab):
         out.fail(
             {
-                "a": a.index,
-                "b": b.index,
-                "a_name": a.name,
-                "b_name": b.name,
-                "single_class": lhs,
-                "comm_sets_match": sa == sb and sb == sab,
-                "comm_set_ab_is_normal": is_normal(sab),
-                "eta": eta_of_product(a, b),
+                "a": a,
+                "b": b,
+                "a_name": x.name,
+                "b_name": y.name,
+                "single_class": single,
+                "comm_sets_match": match,
+                "comm_set_ab_is_normal": normal_ab,
+                "eta": eta_of_product(x, y),
             }
         )
-    if a.index == b.index:
-        shortcut = is_normal(sa)
-        if lhs == shortcut:
+    if a == b:
+        if single == normal_a:
             out.clause("in-particular", "holds")
         else:
             out.clause(
                 "in-particular",
                 "discrepancy",
                 {
-                    "a": a.index,
-                    "a_name": a.name,
+                    "a": a,
+                    "a_name": x.name,
                     "clause": "in-particular",
-                    "comm_set": list(sa),
-                    "comm_set_is_normal": shortcut,
-                    "single_class": lhs,
-                    "eta": eta_of_product(a, a),
+                    "comm_set": list(commutator_set(x)),
+                    "comm_set_is_normal": normal_a,
+                    "single_class": single,
+                    "eta": eta_of_product(x, x),
                 },
             )
 
@@ -291,9 +346,8 @@ def check_theorem_b(group: FiniteGroup) -> VerifierReport:
     """In a nonabelian simple group the only homogeneous product is 1*1."""
     if not is_simple_nonabelian(group):
         raise HypothesisViolated(f"theorem-b: {group.group_id} is not nonabelian simple")
-    out = _Tally()
     pairs = equal_centralizer_pairs(group)
-    out.checked = len(pairs)
+    out = _Tally(len(pairs))
     identity_pair_seen = False
     for a, b in pairs:
         if eta_of_product(a, b) != 1:
@@ -317,41 +371,97 @@ def check_product_formula(group: FiniteGroup, a: Element, b: Element) -> Verifie
     a^G b^G = ab.[a,G].[b,G]; that case is recorded under clause
     commuting-case.
     """
-    return _run("product-formula", group, _product_formula_pair, [(a, b)], [_PRODUCT_FORMULA_NOTE])
+    return _product_formula_report(group, *_pair_arrays(group, a, b), [_PRODUCT_FORMULA_NOTE])
 
 
-def _product_formula_pair(out: _Tally, a: Element, b: Element) -> None:
-    """The left side is the class product from the kernel; the right side is
-    the commutator-set product, translated by ab one element at a time.
+def _product_formula_rhs(group: FiniteGroup, a: int,
+                         b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The right sides ab.[a^b,G].[b,G] for one a and every b[p], by table gathers.
+
+    [x,G] = x^-1 x^G, and a^b lies in the class C_i of a. Row r of the
+    returned block is (ab.[a^b,G]) times one member of [b,G], for the pair
+    owner[r]; the rows of pair p are the members of [b[p],G] in turn.
     """
-    lhs = class_product(a, b)  # raises GroupMismatch for elements of two groups
-    g = a.group
-    ab = g.mul(a.index, b.index)
-    a_b = g.conj(a.index, b.index)
-    rhs = _translate(g, ab, _comm_product(g, a_b, b.index))
-    if lhs != rhs:
+    t, inv, cid = group.np_table(), _inverse_array(group), class_id_array(group)
+    order, starts, sizes = _class_blocks(group)
+    i, j = cid[a], cid[b]
+    a_b = t[t[inv[b], a], b]
+    left = t[t[a, b][:, None], t[inv[a_b][:, None], order[starts[i] : starts[i] + sizes[i]]]]
+    wide = len(b) * group.order >= 2**31  # the keys owner*n + element need 64 bits
+    owner = np.repeat(np.arange(len(b), dtype=np.int64 if wide else np.int32), sizes[j])
+    ends = np.cumsum(sizes[j])
+    members = order[np.repeat(starts[j] - ends + sizes[j], sizes[j]) + np.arange(len(owner))]
+    return owner, t[left[owner], t[inv[b][owner], members][:, None]]
+
+
+def _product_formula_holds(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether a^G b^G = ab.[a^b,G].[b,G], for every pair, one run of equal a at a time.
+
+    The left side is only the kernel's support row of C_i C_j. A pair holds
+    when every class its right side meets is in that support and its
+    distinct elements number the summed sizes of those classes, so that the
+    classes it meets are the support, each whole.
+    """
+    n, cid = group.order, class_id_array(group)
+    sizes = _class_blocks(group)[2]
+    k = len(sizes)
+    holds = np.empty(len(a), dtype=bool)
+    bounds = [0, *(np.flatnonzero(a[1:] != a[:-1]) + 1).tolist(), len(a)]
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        owner, rhs = _product_formula_rhs(group, int(a[r0]), b[r0:r1])
+        keys = np.sort((owner[:, None] * n + rhs).ravel())
+        pair, x = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n)
+        j = cid[b[r0:r1]]
+        support = class_support_row(group, cid[a[r0]])
+        met = j[pair] * k + cid[x]
+        stray = support[np.minimum(support.searchsorted(met), len(support) - 1)] != met
+        covered = np.bincount(support // k, weights=sizes[support % k], minlength=k)
+        holds[r0:r1] = (np.bincount(pair, minlength=r1 - r0) == covered[j]) & (
+            np.bincount(pair[stray], minlength=r1 - r0) == 0
+        )
+    return holds
+
+
+def _product_formula_report(group: FiniteGroup, a: np.ndarray, b: np.ndarray,
+                            notes: Sequence[str]) -> VerifierReport:
+    t = group.np_table()
+    holds = _product_formula_holds(group, a, b)
+    commuting = t[a, b] == t[b, a]
+    return _replay(
+        "product-formula", group, _product_formula_pair, ~holds, commuting & holds,
+        (a, b, holds, commuting), notes,
+    )
+
+
+def _product_formula_pair(out: _Tally, group: FiniteGroup, a: int, b: int, holds: bool,
+                          commuting: bool) -> None:
+    """The witnesses of one pair: the class product against the gathered right side."""
+    if not holds:
+        lhs = class_product(Element(group, a), Element(group, b))
+        rhs = _product_formula_rhs(group, a, np.array([b]))[1]
+        rhs = ElementSet.from_indices(group, set(rhs.ravel().tolist()))
         out.fail(
             {
-                "a": a.index,
-                "b": b.index,
-                "a_name": a.name,
-                "b_name": b.name,
+                "a": a,
+                "b": b,
+                "a_name": group.name_of(a),
+                "b_name": group.name_of(b),
                 "lhs_size": len(lhs),
                 "rhs_size": len(rhs),
                 "only_lhs": list(lhs - rhs),
                 "only_rhs": list(rhs - lhs),
             }
         )
-    if a_b == a.index:  # then rhs is already ab.[a,G].[b,G]
-        if lhs == rhs:
+    if commuting:  # then a^b = a and the right side is ab.[a,G].[b,G]
+        if holds:
             out.clause("commuting-case", "holds")
         else:
             out.clause(
                 "commuting-case",
                 "fails",
                 {
-                    "a": a.index,
-                    "b": b.index,
+                    "a": a,
+                    "b": b,
                     "clause": "commuting-case",
                     "lhs_size": len(lhs),
                     "rhs_size": len(rhs),
@@ -359,31 +469,9 @@ def _product_formula_pair(out: _Tally, a: Element, b: Element) -> None:
             )
 
 
-def _comm_product(group: FiniteGroup, x: int, y: int) -> Tuple[int, ...]:
-    """The members of [x,G].[y,G], a plain set product memoized on the two sets."""
-    sx, sy = commutator_set(Element(group, x)), commutator_set(Element(group, y))
-    memo: Dict[Tuple[int, int], Tuple[int, ...]] = group._cache.setdefault(
-        "comm_set_products", {}
-    )
-    members = memo.get((sx.mask, sy.mask))
-    if members is None:
-        members = memo[(sx.mask, sy.mask)] = set_product(sx, sy).members
-    return members
-
-
-def _translate(group: FiniteGroup, c: int, members: Sequence[int]) -> ElementSet:
-    """The set {c*s : s in members}."""
-    row = group.table[c]
-    mask = 0
-    for s in members:
-        mask |= 1 << row[s]
-    return ElementSet(group, mask)
-
-
 def check_subgroup_implies_normal(group: FiniteGroup) -> VerifierReport:
     """Every commutator set that is a subgroup must be a normal one."""
-    out = _Tally()
-    out.checked = group.order
+    out = _Tally(group.order)
     closed = 0
     for c in range(group.order):
         s = commutator_set(Element(group, c))
@@ -404,11 +492,7 @@ def check_quotient_eta(group: FiniteGroup, n: ElementSet, a: Element, b: Element
     disjoint upstairs. Raises NotNormal for a bad n, and GroupMismatch for
     an element of another group.
     """
-    qm = quotient(group, n)
-    for x in (a, b):
-        if x.group is not group:
-            raise GroupMismatch(f"element of {x.group_id!r} checked in {group.group_id!r}")
-    return _quotient_eta_report(group, [qm], np.array([a.index]), np.array([b.index]))
+    return _quotient_eta_report(group, [quotient(group, n)], *_pair_arrays(group, a, b))
 
 
 def _quotient_eta_report(group: FiniteGroup, quotients: Iterable[QuotientMap],
@@ -633,7 +717,7 @@ def _direct_product_eta_pair(out: _Tally, prod: FiniteGroup, a: Element, k: Fini
 
 
 def _agg_theorem_a(group: FiniteGroup) -> VerifierReport:
-    return _run("theorem-a", group, _theorem_a_pair, equal_centralizer_pairs(group))
+    return _theorem_a_report(group, *_equal_centralizer_arrays(group))
 
 
 def _agg_theorem_b(group: FiniteGroup) -> VerifierReport:
@@ -642,40 +726,47 @@ def _agg_theorem_b(group: FiniteGroup) -> VerifierReport:
     return check_theorem_b(group)
 
 
+def _grid(xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair (x, y) as the two pair arrays, x-major."""
+    return np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+
+
+def _representatives(group: FiniteGroup) -> np.ndarray:
+    return np.array([cls.representative.index for cls in conjugacy_classes(group)])
+
+
+def _product_formula_arrays(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, str]:
+    every = np.arange(group.order)
+    if group.order <= 27:
+        return (*_grid(every, every), "pair strategy: all ordered element pairs")
+    reps = _representatives(group)
+    if group.order <= 120:
+        return (*_grid(reps, every), "pair strategy: class representatives against all elements")
+    return (*_grid(reps, reps), "pair strategy: class representatives only")
+
+
+# Like _merge, kept for the tests: the aggregate's pairs as elements, in order.
 def _product_formula_pairs(group: FiniteGroup) -> Tuple[List[Tuple[Element, Element]], str]:
-    n = group.order
-    if n <= 27:
-        pairs = [
-            (Element(group, i), Element(group, j)) for i in range(n) for j in range(n)
-        ]
-        return pairs, "pair strategy: all ordered element pairs"
-    reps = [cls.representative for cls in conjugacy_classes(group)]
-    if n <= 120:
-        pairs = [(a, Element(group, j)) for a in reps for j in range(n)]
-        return pairs, "pair strategy: class representatives against all elements"
-    pairs = [(a, b) for a in reps for b in reps]
-    return pairs, "pair strategy: class representatives only"
+    a, b, strategy = _product_formula_arrays(group)
+    pairs = [(Element(group, x), Element(group, y)) for x, y in zip(a.tolist(), b.tolist())]
+    return pairs, strategy
 
 
 def _agg_product_formula(group: FiniteGroup) -> VerifierReport:
-    pairs, strategy = _product_formula_pairs(group)
-    return _run(
-        "product-formula", group, _product_formula_pair, pairs, [_PRODUCT_FORMULA_NOTE, strategy]
-    )
+    a, b, strategy = _product_formula_arrays(group)
+    return _product_formula_report(group, a, b, [_PRODUCT_FORMULA_NOTE, strategy])
 
 
 def _agg_quotient_eta(group: FiniteGroup) -> VerifierReport:
     n = group.order
     if n <= 27:
         kernels = list(normal_subgroups(group))
-        a = np.repeat(np.arange(n), n)
-        b = np.tile(np.arange(n), n)
+        a, b = _grid(np.arange(n), np.arange(n))
         strategy = "all normal subgroups, all ordered element pairs"
     else:
         kernels = [ElementSet.from_indices(group, [0])] + list(minimal_normal_subgroups(group))
-        reps = np.array([cls.representative.index for cls in conjugacy_classes(group)])
-        a = np.repeat(reps, len(reps))
-        b = np.tile(reps, len(reps))
+        reps = _representatives(group)
+        a, b = _grid(reps, reps)
         strategy = "minimal normal subgroups, class representatives only"
     # one quotient group alive at a time
     return _quotient_eta_report(

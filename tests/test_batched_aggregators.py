@@ -7,10 +7,12 @@ quotient-monotonicity the reference below, built from eta_of_product and
 the class carriers, and check_quotient_eta itself; for product-formula
 check_product_formula. A planted fault
 (eta raised by one in every quotient group, or one element dropped from
-every commutator-set product) makes the checks fail on many pairs, so the
-witness order, the 40-witness cap and the note order are compared too.
+every gathered right side of the product formula) makes the checks fail on
+many pairs, so the witness order, the 40-witness cap and the note order are
+compared too.
 """
 
+import numpy as np
 import pytest
 
 from classprod import ElementSet, build_group, conjugacy_classes
@@ -91,13 +93,16 @@ def quotient_eta_raised(monkeypatch):
 
 @pytest.fixture
 def product_drops_an_element(monkeypatch):
-    product = classalg.set_product
+    gather = verify._product_formula_rhs
 
-    def faulty(x, y):
-        full = product(x, y)
-        return ElementSet(full.group, full.mask & (full.mask - 1)) if len(full) > 1 else full
+    def faulty(group, a, b):
+        owner, rhs = gather(group, a, b)
+        first = np.searchsorted(owner, np.arange(len(b)))  # each pair's first row
+        least = np.minimum.reduceat(rhs.min(axis=1), first)[owner][:, None]
+        most = np.maximum.reduceat(rhs.max(axis=1), first)[owner][:, None]
+        return owner, np.where(rhs == least, most, rhs)  # no change to a one-element set
 
-    monkeypatch.setattr(verify, "set_product", faulty)
+    monkeypatch.setattr(verify, "_product_formula_rhs", faulty)
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -1,0 +1,66 @@
+"""Two hostile inputs fail fast with a typed error, a short message and exit 2.
+
+A .gens file may not declare a degree over the order cap: the 25-byte file
+below used to build million-point permutations before any other check. An
+order past 64 bits is named by a power of ten below it, so an order whose
+decimal form passes Python's 4,300-digit str limit never reaches str().
+"""
+
+import pytest
+
+from classprod import OrderExceeded, build_group
+from classprod.cli import main
+from classprod.group import load_gens
+from classprod.perm import Permutation
+
+
+@pytest.fixture(autouse=True)
+def default_cap(monkeypatch):
+    monkeypatch.delenv("CLASSPROD_MAX_ORDER", raising=False)
+
+
+@pytest.fixture
+def big_degree(tmp_path, monkeypatch):
+    path = tmp_path / "big.gens"
+    path.write_text("degree 1000000\ngen (1 2)\n")
+    assert path.stat().st_size == 25
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a permutation was built before the degree check")
+
+    monkeypatch.setattr(Permutation, "parse", forbidden)
+    monkeypatch.setattr(Permutation, "identity", forbidden)
+    return path
+
+
+def test_gens_degree_over_the_cap_is_rejected_first(big_degree):
+    with pytest.raises(OrderExceeded, match=r":1: degree 1000000 is over the cap 4096$"):
+        load_gens(str(big_degree))
+
+
+def test_cli_exits_2_on_a_degree_over_the_cap(big_degree, capsys):
+    assert main(["build", "--group", f"file:{big_degree}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {big_degree}:1: degree 1000000 is over the cap 4096\n"
+
+
+def test_gens_degree_at_the_cap_loads(tmp_path):
+    path = tmp_path / "c2.gens"
+    path.write_text("degree 4096\ngen (1 4096)\n")
+    assert build_group(f"file:{path}").order == 2
+
+
+def test_order_past_the_str_digit_limit_is_named_by_a_bound(capsys):
+    spec = "prod(cyclic:4096,cyclic:" + "9" * 4300 + ")"
+    assert main(["build", "--group", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: prod(cyclic:4096,cyclic:999")
+    assert err.endswith(" has order at least 10^4303, over the cap 4096\n")
+
+
+def test_orders_within_64_bits_are_printed_exactly():
+    largest = 2**64 - 1
+    with pytest.raises(OrderExceeded, match=rf"^cyclic:{largest} has order {largest},"):
+        build_group(f"cyclic:{largest}")
+    with pytest.raises(OrderExceeded, match=rf"^cyclic:{largest + 1} has order at least 10\^19,"):
+        build_group(f"cyclic:{largest + 1}")

@@ -102,6 +102,8 @@ def drop_least(product):
 FAULTS = {
     "clean": {},
     "is-normal-false": {"is_normal": lambda s: False},
+    # theorem-a reads its left side from the eta matrix, so this fault reaches
+    # center-intersection and size2-classes only
     "class-product-drops-one": {"class_product": drop_least(verify.class_product)},
     "eta-lowered": {"eta_of_product": lambda a, b, eta=verify.eta_of_product: eta(a, b) - 1},
 }
