@@ -192,23 +192,70 @@ def _conjugates(group: FiniteGroup, a: int) -> np.ndarray:
     return t[t[_inverse_array(group), a], np.arange(group.order)]
 
 
+def _conjugation(group: FiniteGroup, g: int) -> np.ndarray:
+    """x -> x^g for every x, from the row r = T[g^-1]: g^-1*x = r[x], z*g = inv[r[inv[z]]]."""
+    inv = _inverse_array(group)
+    r = group.np_table()[inv[g]]
+    return inv[r[inv[r]]]
+
+
+def _commutes_with(group: FiniteGroup, a: int) -> np.ndarray:
+    """a*g == g*a for every g, from two rows: g*a = inv[T[a^-1][inv[g]]]."""
+    t, inv = group.np_table(), _inverse_array(group)
+    return t[a] == inv.take(t[inv[a]].take(inv))
+
+
+def _orbit_minima(least: np.ndarray, perms: List[np.ndarray]) -> np.ndarray:
+    """Each element's least orbit-mate under the perms, from labels least[x] <= x:
+    min-label propagation with pointer jumping until nothing changes."""
+    while True:
+        lowered = least
+        for p in perms:
+            lowered = np.minimum(lowered, lowered[p])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, least):
+            return least
+        least = lowered
+
+
 def _class_data(group: FiniteGroup) -> Tuple[Tuple[ConjugacyClass, ...], List[int]]:
+    """Classes as orbits under conjugation by the generators, each checked by
+    the class equation |orbit| * |C(r)| = n at its least member r.
+
+    generator_indices may be empty or generate a proper subgroup H: at the
+    first orbit too small, a g moving r out of it joins them, and the check
+    resumes at r. Each such g lies outside H, so at most log2(n) join (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1).
+    """
     cached = group._cache.get("class_data")
     if cached is not None:
         return cached
     n = group.order
-    class_id = np.full(n, -1, dtype=np.int64)
-    classes: List[ConjugacyClass] = []
-    for i in range(n):
-        if class_id[i] >= 0:
+    perms = [_conjugation(group, g) for g in dict.fromkeys(group.generator_indices)]
+    least = _orbit_minima(np.arange(n), perms)
+    reps, sizes = np.flatnonzero(least == np.arange(n)), np.bincount(least, minlength=n)
+    i = 0
+    while i < len(reps):
+        r = reps[i]
+        if sizes[r] * np.count_nonzero(_commutes_with(group, r)) == n:
+            i += 1
             continue
-        orbit = _conjugates(group, i)
-        class_id[orbit] = len(classes)
-        classes.append(ConjugacyClass(Element(group, i), ElementSet(group, _mask_of(orbit, n))))
+        perms.append(_conjugation(group, int(np.argmax(least[_conjugates(group, r)] != r))))
+        moved = least[perms[-1][r]]  # in a group, r^g lies outside the orbit and then joins it
+        least = _orbit_minima(least, perms)
+        if moved == r or least[perms[-1][r]] != r:
+            raise ValueError(f"table of {group.group_id!r} is not a group: conjugation fails at {r}")
+        reps, sizes = np.flatnonzero(least == np.arange(n)), np.bincount(least, minlength=n)
+    class_id = np.searchsorted(reps, least)
     class_id.setflags(write=False)
-    group._cache["np_class_id"] = class_id
-    data = (tuple(classes), class_id.tolist())
-    group._cache["class_data"] = data
+    order, counts = np.argsort(class_id, kind="stable"), sizes[reps]
+    starts = np.cumsum(counts) - counts
+    group._cache.update(np_class_id=class_id, class_blocks=(order, starts, counts))
+    classes = tuple(
+        ConjugacyClass(Element(group, r), ElementSet(group, _mask_of(order[s : s + c], n)))
+        for r, s, c in zip(reps.tolist(), starts.tolist(), counts.tolist())
+    )
+    data = group._cache["class_data"] = (classes, class_id.tolist())
     return data
 
 
@@ -236,12 +283,8 @@ def _class_blocks(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     """Every element listed class by class, in index order within a class,
     with the start and the size of each class's block in that list.
     """
-    blocks = group._cache.get("class_blocks")
-    if blocks is None:
-        sizes = np.bincount(class_id_array(group))
-        order = np.argsort(class_id_array(group), kind="stable")
-        blocks = group._cache["class_blocks"] = (order, np.cumsum(sizes) - sizes, sizes)
-    return blocks
+    _class_data(group)
+    return group._cache["class_blocks"]
 
 
 def conjugacy_classes(group: FiniteGroup) -> Tuple[ConjugacyClass, ...]:
@@ -259,8 +302,11 @@ def conjugacy_class(a: Element) -> ConjugacyClass:
 
 
 def centralizer(a: Element) -> ElementSet:
-    """All g with a^g = a."""
-    return ElementSet(a.group, _centralizer_masks(a.group)[a.index])
+    """All g with a^g = a: the cached mask, else two table rows."""
+    group, masks = a.group, a.group._cache.get("centralizer_masks")
+    if masks is not None:
+        return ElementSet(group, masks[a.index])
+    return ElementSet(group, _mask_of(_commutes_with(group, a.index), group.order))
 
 
 def _centralizer_masks(group: FiniteGroup) -> List[int]:

@@ -118,6 +118,9 @@ class FiniteGroup:
             raise ValueError(f"expected {n} element names, got {len(element_names)}")
         self.element_names = element_names
         self.named_elements = dict(named_elements or {})
+        for g in generator_indices:
+            if not 0 <= g < n:
+                raise ValueError(f"generator index {g} of {group_id!r} outside 0..{n - 1}")
         self.generator_indices = tuple(generator_indices)
         self._cache: Dict[str, object] = {}
 
@@ -407,8 +410,9 @@ def _light_test(t: np.ndarray, e: int) -> bool:
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = t[np.ix_(frontier, gens)].ravel()
-            frontier = np.unique(step[~reached[step]])
+            fresh = np.zeros(n, dtype=bool)
+            fresh[t[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(fresh & ~reached)
             reached[frontier] = True
     # (x*s)*y against x*(s*y), over all x, y
     return all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens)

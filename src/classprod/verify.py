@@ -221,7 +221,9 @@ def _replay(statement_id: str, group: FiniteGroup, pair: Callable[..., None],
     statement's clause holds; every other pair would add nothing.
     """
     out = _Tally(len(flagged))
-    at = np.union1d(np.flatnonzero(flagged), np.flatnonzero(holding)[:1])
+    replayed = np.array(flagged, dtype=bool)
+    replayed[np.flatnonzero(holding)[:1]] = True
+    at = np.flatnonzero(replayed)
     for row in zip(*(column[at].tolist() for column in columns)):
         pair(out, group, *row)
     return out.report(statement_id, group, notes)
@@ -492,7 +494,11 @@ def check_quotient_eta(group: FiniteGroup, n: ElementSet, a: Element, b: Element
     disjoint upstairs. Raises NotNormal for a bad n, and GroupMismatch for
     an element of another group.
     """
-    return _quotient_eta_report(group, [quotient(group, n)], *_pair_arrays(group, a, b))
+    memo = group._cache.get("last_quotient")  # (kernel mask, G/N): one entry
+    if memo is None or memo[0] != n.mask or n.group is not group:
+        memo = (n.mask, quotient(group, n))
+        group._cache["last_quotient"] = memo
+    return _quotient_eta_report(group, [memo[1]], *_pair_arrays(group, a, b))
 
 
 def _quotient_eta_report(group: FiniteGroup, quotients: Iterable[QuotientMap],
