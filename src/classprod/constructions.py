@@ -18,9 +18,9 @@ from .errors import EvenN, NotOddPrime, OrderExceeded
 from .group import (
     Element,
     FiniteGroup,
+    _read_cayley,
     close_from_generators,
     from_cayley_table,
-    load_cayley,
     load_gens,
     max_order_cap,
 )
@@ -413,7 +413,7 @@ class GroupSpec:
 
 def _build_from_file(path: str, group_id: str, max_order: Optional[int]) -> FiniteGroup:
     if path.endswith(".cayley"):
-        return from_cayley_table(load_cayley(path), group_id, max_order=max_order)
+        return from_cayley_table(_read_cayley(path), group_id, max_order=max_order)
     if path.endswith(".gens"):
         _, gens = load_gens(path)
         return close_from_generators(gens, group_id, max_order=max_order)

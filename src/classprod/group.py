@@ -361,24 +361,22 @@ def from_cayley_table(
 
 
 def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """rows as an n x n int32 array; ValueError names the first bad row or entry.
+    """rows as a fresh n x n int32 array; ValueError names the first bad row or entry.
 
-    A well-formed integer table converts in one step. Anything else (ragged
-    rows, bools, floats, ints past int64) takes the per-entry loop, which
-    decides exactly which rows and entries are accepted.
+    An n x n integer table, list or array, is checked in whole-table numpy,
+    which names its first entry out of range as a plain int. Anything else
+    (ragged rows, bools, floats, ints past int64) takes the per-entry loop,
+    which decides exactly which rows and entries are accepted.
     """
     try:
         arr = np.array(rows)
     except (ValueError, TypeError, OverflowError):
         arr = None
-    if (
-        arr is not None
-        and arr.shape == (n, n)
-        and arr.dtype.kind in "iu"
-        and arr.min() >= 0
-        and arr.max() < n
-    ):
-        return arr.astype(np.int32, copy=False)
+    if arr is not None and arr.shape == (n, n) and arr.dtype.kind in "iu":
+        if arr.min() >= 0 and arr.max() < n:
+            return arr.astype(np.int32, copy=False)
+        i, j = divmod(int(np.argmax((arr < 0) | (arr >= n))), n)
+        raise ValueError(f"row {i} contains entry {int(arr[i, j])!r} outside 0..{n - 1}")
     table = [list(r) for r in rows]
     for i, row in enumerate(table):
         if len(row) != n:
@@ -478,8 +476,20 @@ def load_gens(path: str) -> Tuple[int, List[Permutation]]:
 def load_cayley(path: str) -> List[List[int]]:
     """Read a .cayley file: first line the order n, then n rows of n indices.
 
-    A well-formed table is parsed in one numpy call; anything irregular
-    takes the per-line loop, which names the first bad line.
+    The rows come back as lists of Python ints; _read_cayley gives a
+    well-formed file's table as one int32 array instead.
+    """
+    table = _read_cayley(path)
+    return table.tolist() if isinstance(table, np.ndarray) else table
+
+
+def _read_cayley(path: str) -> np.ndarray | List[List[int]]:
+    """The table of a .cayley file, for from_cayley_table.
+
+    A well-formed table is parsed in one numpy call and returned as that
+    int32 array, with no Python list per row; anything irregular takes the
+    per-line loop, which names the first bad line and returns lists of
+    Python ints (entries past int32 among them).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
@@ -499,7 +509,7 @@ def load_cayley(path: str) -> List[List[int]]:
     except ValueError:
         table = None
     if table is not None and table.shape == (n, n):
-        return table.tolist()
+        return table
     rows = []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
