@@ -645,7 +645,7 @@ def quotient(group: FiniteGroup, n: ElementSet) -> QuotientMap:
     for s0 in range(0, len(members), _BLOCK_ROWS):
         np.minimum(least, t[:, members[s0 : s0 + _BLOCK_ROWS]].min(axis=1), out=least)
     reps = np.flatnonzero(least == np.arange(group.order))
-    coset_id = np.empty(group.order, dtype=np.int32)
+    coset_id = np.empty(group.order, dtype=np.int16)
     coset_id[reps] = np.arange(len(reps))
     coset_id = coset_id[least]
     qtable = coset_id[t[np.ix_(reps, reps)]]

@@ -40,7 +40,7 @@ def _is_prime(n: int) -> bool:
 
 def _check_order(label: str, factors: Iterable[int], max_order: Optional[int]) -> None:
     """Raise OrderExceeded as soon as the running product of the (lazy) factors passes the cap."""
-    cap = max_order_cap() if max_order is None else max_order
+    cap = max_order_cap(max_order)
     order = 1
     rest = iter(factors)
     for f in rest:
@@ -185,14 +185,16 @@ def extraspecial_p3(p: int, max_order: Optional[int] = None) -> FiniteGroup:
     n = p ** 3
     idx = np.arange(n, dtype=np.int64)
     a, b, c = idx // (p * p), (idx // p) % p, idx % p
-    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
-    table = (
-        ((a1 + a2) % p) * (p * p)
-        + ((b1 + b2) % p) * p
-        + ((c1 + c2 + a1 * b2) % p)
-    ).astype(np.int32)
-    inverse = ((-a % p) * (p * p) + (-b % p) * p + ((a * b - c) % p)).astype(np.int32)
+    # the table on axes (a1, b1, c1, a2, b2, c2), written into int16 with no
+    # n x n temporary: the two summands have p^4 entries each
+    a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p)] * 6)
+    table = np.empty((n, n), dtype=np.int16)
+    np.add(
+        ((a1 + a2) % p) * (p * p) + ((b1 + b2) % p) * p,
+        (c1 + c2 + a1 * b2) % p,
+        out=table.reshape((p,) * 6),
+    )
+    inverse = (-a % p) * (p * p) + (-b % p) * p + ((a * b - c) % p)
     names = [f"({ai},{bi},{ci})" for ai, bi, ci in zip(a.tolist(), b.tolist(), c.tolist())]
     named = {name: i for i, name in enumerate(names)}
     return FiniteGroup(
@@ -215,9 +217,9 @@ def direct_product(
     _check_order(f"prod({g.group_id},{k.group_id})", (g.order, k.order), max_order)
     n = g.order * k.order
     go, ko = g.order, k.order
-    table = np.empty((n, n), dtype=np.int32)
-    np.add(
-        g.np_table()[:, None, :, None] * ko,
+    table = np.empty((n, n), dtype=np.int16)
+    np.add(  # g's entries times ko in int32: ko itself can be 32768, past int16
+        g.np_table().astype(np.int32)[:, None, :, None] * ko,
         k.np_table()[None, :, None, :],
         out=table.reshape(go, ko, go, ko),
     )
@@ -435,7 +437,7 @@ def build_group(spec: "GroupSpec | str", max_order: Optional[int] = None) -> Fin
     canonical = parsed.canonical()
     if "file:" in canonical:
         return parsed.build(max_order=max_order)
-    key = (canonical, max_order_cap() if max_order is None else max_order)
+    key = (canonical, max_order_cap(max_order))
     cached = _BUILD_CACHE.get(key)
     if cached is None:
         cached = parsed.build(max_order=max_order)

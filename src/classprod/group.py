@@ -1,4 +1,9 @@
-"""Finite groups as immutable multiplication tables over integer indices."""
+"""Finite groups as immutable multiplication tables over integer indices.
+
+Every table is one read-only C-order int16 array, so no group may have more
+than TABLE_ORDER_LIMIT = 32768 elements; every builder checks its order
+against that limit before it allocates a table.
+"""
 
 from __future__ import annotations
 
@@ -20,10 +25,18 @@ from .perm import Permutation
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "CLASSPROD_MAX_ORDER"
+# The most elements an int16 table can index: entries run 0..32767.
+TABLE_ORDER_LIMIT = int(np.iinfo(np.int16).max) + 1
 
 
-def max_order_cap() -> int:
-    """Effective order cap; CLASSPROD_MAX_ORDER overrides the default of 4096."""
+def max_order_cap(max_order: Optional[int] = None) -> int:
+    """Effective order cap: max_order if given, else CLASSPROD_MAX_ORDER, else 4096.
+
+    CLASSPROD_MAX_ORDER must be an integer in 1..TABLE_ORDER_LIMIT, or
+    ValueError; a max_order argument above the limit is cut down to it.
+    """
+    if max_order is not None:
+        return min(max_order, TABLE_ORDER_LIMIT)
     raw = os.environ.get(MAX_ORDER_ENV)
     if raw is None:
         return DEFAULT_MAX_ORDER
@@ -33,37 +46,62 @@ def max_order_cap() -> int:
         raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}") from None
     if cap < 1:
         raise ValueError(f"{MAX_ORDER_ENV} must be positive, got {cap}")
+    if cap > TABLE_ORDER_LIMIT:
+        raise ValueError(
+            f"{MAX_ORDER_ENV} must be at most {TABLE_ORDER_LIMIT}, the largest order"
+            f" an int16 table can index, got {cap}"
+        )
     return cap
 
 
-def _adopt_table(table) -> np.ndarray:
-    """table as an int32 C-order array that nothing else can write to.
+def _narrow(arr: np.ndarray, n: int) -> np.ndarray:
+    """A fresh int16 copy of an n x n array whose entries are checked to lie in 0..n-1.
 
-    A writable int32 C-contiguous array that owns its buffer is taken over
-    as is, so a builder can hand its result over without a copy; anything
-    else (lists, rows, other dtypes, views of a buffer the caller keeps) is
-    copied.
+    The check comes first, since astype wraps out-of-range values without a
+    word; ValueError names the first bad entry as a plain int.
     """
-    if (
+    if arr.min() < 0 or arr.max() >= n:
+        i, j = divmod(int(np.argmax((arr < 0) | (arr >= n))), n)
+        raise ValueError(f"row {i} contains entry {int(arr[i, j])!r} outside 0..{n - 1}")
+    return arr.astype(np.int16)
+
+
+def _adopt_table(table, group_id: str) -> np.ndarray:
+    """table as an int16 C-order n x n array that nothing else can write to.
+
+    A writable int16 C-contiguous array that owns its buffer is taken over
+    as is, so a builder hands its result over without a copy. Anything else
+    (lists, rows, other dtypes, views of a buffer the caller keeps) must be
+    square with entries in 0..n-1, and is copied into a fresh int16 array.
+    """
+    owned = (
         isinstance(table, np.ndarray)
-        and table.dtype == np.int32
+        and table.dtype == np.int16
         and table.flags.c_contiguous
         and table.flags.writeable
         and table.flags.owndata
-    ):
-        return table
-    return np.array(table, dtype=np.int32)
+    )
+    arr = np.asarray(table)
+    n = len(arr)
+    if arr.shape != (n, n):
+        raise ValueError(f"table of {group_id!r} is not square: shape {arr.shape}")
+    return arr if owned else _narrow(arr, n)
 
 
 class FiniteGroup:
     """A finite group on indices 0..order-1, index 0 being the identity.
 
-    The table is one read-only int32 n x n array, np_table(); table[a] is
-    row a as a zero-copy memoryview of it, so table[a][b] is the product
-    a*b. Elements are ordered by construction: breadth-first discovery order
-    for generator input, canonicalized table order (identity moved to the
-    front) for raw table input. Instances are treated as immutable; derived
-    data such as conjugacy classes is cached on first use under _cache.
+    The table is one read-only int16 n x n array, np_table(), so order is
+    at most TABLE_ORDER_LIMIT (32768); table[a] is row a as a zero-copy
+    memoryview of it, so table[a][b] is the product a*b. The constructor
+    checks the shape, the entries of a table it has to copy, the identity
+    row and column and the inverses, but not associativity: class data of a
+    table that is no group is meaningless, so untrusted tables belong in
+    from_cayley_table, which checks everything. Elements are ordered by
+    construction: breadth-first discovery order for generator input,
+    canonicalized table order (identity moved to the front) for raw table
+    input. Instances are treated as immutable; derived data such as
+    conjugacy classes is cached on first use under _cache.
     """
 
     identity_index = 0
@@ -92,9 +130,11 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise NoIdentity("empty multiplication table")
-        t = _adopt_table(table)
-        if t.shape != (n, n):
-            raise ValueError(f"table of {group_id!r} is not square: shape {t.shape}")
+        if n > TABLE_ORDER_LIMIT:
+            raise OrderExceeded(
+                f"table of {group_id!r} has order {n}, over the int16 limit {TABLE_ORDER_LIMIT}"
+            )
+        t = _adopt_table(table, group_id)
         ar = np.arange(n)
         if not np.array_equal(t[0], ar):
             raise NoIdentity(f"row 0 of {group_id!r} is not the identity row")
@@ -272,7 +312,7 @@ def close_from_generators(
     for g in gens:
         if g.degree != degree:
             raise InvalidPermutation(f"generators disagree on degree: {g.degree} vs {degree}")
-    cap = max_order_cap() if max_order is None else max_order
+    cap = max_order_cap(max_order)
 
     identity = Permutation.identity(degree)
     elems: List[Permutation] = [identity]
@@ -299,9 +339,9 @@ def close_from_generators(
             right[k].append(j)
 
     n = len(elems)
-    steps = np.asarray(right, dtype=np.int32)
-    t = np.empty((n, n), dtype=np.int32)
-    t[:, 0] = np.arange(n, dtype=np.int32)
+    steps = np.asarray(right, dtype=np.int16)
+    t = np.empty((n, n), dtype=np.int16)
+    t[:, 0] = np.arange(n, dtype=np.int16)
     for b in range(1, n):
         t[:, b] = steps[via[b]][t[:, parent[b]]]
     names = [p.cycle_string() for p in elems]
@@ -328,7 +368,7 @@ def from_cayley_table(
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty multiplication table")
-    cap = max_order_cap() if max_order is None else max_order
+    cap = max_order_cap(max_order)
     if n > cap:
         raise OrderExceeded(f"table of order {n} exceeds the order cap {cap}")
     t = _table_array(rows, n)
@@ -351,7 +391,7 @@ def from_cayley_table(
     names = list(element_names) if element_names is not None else None
     if e != 0:
         old_order = np.r_[e, 0:e, e + 1 : n]
-        new_of_old = np.empty(n, dtype=np.int32)
+        new_of_old = np.empty(n, dtype=np.int16)
         new_of_old[old_order] = ar
         t = new_of_old[t[np.ix_(old_order, old_order)]]
         y = new_of_old[y[old_order]]
@@ -361,22 +401,23 @@ def from_cayley_table(
 
 
 def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """rows as a fresh n x n int32 array; ValueError names the first bad row or entry.
+    """rows as a fresh n x n int16 array; ValueError names the first bad row or entry.
 
-    An n x n integer table, list or array, is checked in whole-table numpy,
-    which names its first entry out of range as a plain int. Anything else
+    An n x n integer table, list or array, is checked in whole-table numpy
+    (an array as it is, with no copy), which names its first entry out of
+    range as a plain int, and then narrowed in one copy. Anything else
     (ragged rows, bools, floats, ints past int64) takes the per-entry loop,
     which decides exactly which rows and entries are accepted.
     """
-    try:
-        arr = np.array(rows)
-    except (ValueError, TypeError, OverflowError):
-        arr = None
+    if isinstance(rows, np.ndarray):
+        arr = rows
+    else:
+        try:
+            arr = np.array(rows)
+        except (ValueError, TypeError, OverflowError):
+            arr = None
     if arr is not None and arr.shape == (n, n) and arr.dtype.kind in "iu":
-        if arr.min() >= 0 and arr.max() < n:
-            return arr.astype(np.int32, copy=False)
-        i, j = divmod(int(np.argmax((arr < 0) | (arr >= n))), n)
-        raise ValueError(f"row {i} contains entry {int(arr[i, j])!r} outside 0..{n - 1}")
+        return _narrow(arr, n)
     table = [list(r) for r in rows]
     for i, row in enumerate(table):
         if len(row) != n:
@@ -384,7 +425,7 @@ def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValueError(f"row {i} contains entry {v!r} outside 0..{n - 1}")
-    return np.asarray(table, dtype=np.int32)
+    return np.asarray(table, dtype=np.int16)
 
 
 def _light_test(t: np.ndarray, e: int) -> bool:
@@ -477,7 +518,8 @@ def load_cayley(path: str) -> List[List[int]]:
     """Read a .cayley file: first line the order n, then n rows of n indices.
 
     The rows come back as lists of Python ints; _read_cayley gives a
-    well-formed file's table as one int32 array instead.
+    well-formed file's table as one int32 array instead, which
+    from_cayley_table narrows to the group's int16 table.
     """
     table = _read_cayley(path)
     return table.tolist() if isinstance(table, np.ndarray) else table

@@ -34,7 +34,7 @@ class TestReadOnly:
     def test_rows_share_the_table(self, spec):
         g = build_group(spec)
         t = g.np_table()
-        assert t.dtype == np.int32 and t.flags.c_contiguous and t.shape == (g.order, g.order)
+        assert t.dtype == np.int16 and t.flags.c_contiguous and t.shape == (g.order, g.order)
         for a in range(g.order):
             row = np.asarray(g.table[a])
             assert np.shares_memory(row, t)
@@ -55,8 +55,8 @@ class TestInputsAreNotShared:
         base[1, 1] = 5
         assert g.table[1][1] == groups["sym:3"].table[1][1]
 
-    def test_owned_int32_array_is_adopted_and_frozen(self, groups):
-        arr = np.array(cayley_rows(groups["sym:3"]), dtype=np.int32)
+    def test_owned_int16_array_is_adopted_and_frozen(self, groups):
+        arr = np.array(cayley_rows(groups["sym:3"]), dtype=np.int16)
         g = FiniteGroup(arr, "s3-adopted")
         assert g.np_table() is arr
         with pytest.raises(ValueError):
