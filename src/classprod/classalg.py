@@ -218,7 +218,7 @@ def _orbit_minima(least: np.ndarray, perms: List[np.ndarray]) -> np.ndarray:
         least = lowered
 
 
-def _class_data(group: FiniteGroup) -> Tuple[Tuple[ConjugacyClass, ...], List[int]]:
+def _orbit_classes(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classes as orbits under conjugation by the generators, each checked by
     the class equation |orbit| * |C(r)| = n at its least member r.
 
@@ -226,10 +226,9 @@ def _class_data(group: FiniteGroup) -> Tuple[Tuple[ConjugacyClass, ...], List[in
     first orbit too small, a g moving r out of it joins them, and the check
     resumes at r. Each such g lies outside H, so at most log2(n) join (Holt,
     Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1).
+    Returns the class id of every element, and each class's least member
+    and size.
     """
-    cached = group._cache.get("class_data")
-    if cached is not None:
-        return cached
     n = group.order
     perms = [_conjugation(group, g) for g in dict.fromkeys(group.generator_indices)]
     least = _orbit_minima(np.arange(n), perms)
@@ -246,9 +245,55 @@ def _class_data(group: FiniteGroup) -> Tuple[Tuple[ConjugacyClass, ...], List[in
         if moved == r or least[perms[-1][r]] != r:
             raise ValueError(f"table of {group.group_id!r} is not a group: conjugation fails at {r}")
         reps, sizes = np.flatnonzero(least == np.arange(n)), np.bincount(least, minlength=n)
-    class_id = np.searchsorted(reps, least)
+    return np.searchsorted(reps, least), reps, sizes[reps]
+
+
+def _factor_classes(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_orbit_classes of a direct product, from its factors and not its table.
+
+    The class of (h, k) is h^H x k^K, so a class id is the factor class ids
+    in mixed radix. Its least member is built from the factors' least
+    members, so class ids still run in the order of least members.
+    """
+    class_id, reps, sizes = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
+    for f in group.factors:
+        order, starts, counts = _class_blocks(f)
+        class_id = (class_id[:, None] * len(counts) + class_id_array(f)).reshape(-1)
+        reps = (reps[:, None] * f.order + order[starts]).reshape(-1)
+        sizes = (sizes[:, None] * counts).reshape(-1)
+    return class_id, reps, sizes
+
+
+def _factor_parts(s: "ElementSet") -> Optional[List["ElementSet"]]:
+    """The subset of each factor whose product set is s, if s is one."""
+    group = s.group
+    if not group.factors:
+        return None
+    member, size = _member_array(s), len(s)
+    parts, before, product = [], 1, 1
+    for f in group.factors:
+        # s lies in the product of its projections, and is it when the sizes agree
+        part = member.reshape(before, f.order, -1).any(axis=(0, 2))
+        product *= int(np.count_nonzero(part))
+        if product > size:
+            return None
+        parts.append(ElementSet(f, _mask_of(part, f.order)))
+        before *= f.order
+    return parts
+
+
+def _class_data(group: FiniteGroup) -> Tuple[Tuple[ConjugacyClass, ...], List[int]]:
+    """The classes in order of their least members, and the class id of every element."""
+    cached = group._cache.get("class_data")
+    if cached is not None:
+        return cached
+    n = group.order
+    if group.factors:
+        class_id, reps, counts = _factor_classes(group)
+    else:
+        class_id, reps, counts = _orbit_classes(group)
     class_id.setflags(write=False)
-    order, counts = np.argsort(class_id, kind="stable"), sizes[reps]
+    order = np.argsort(class_id, kind="stable")
     starts = np.cumsum(counts) - counts
     group._cache.update(np_class_id=class_id, class_blocks=(order, starts, counts))
     classes = tuple(
@@ -344,11 +389,21 @@ def commutator_set(a: Element) -> ElementSet:
     memo: Dict[int, int] = group._cache.setdefault("commutator_masks", {})
     mask = memo.get(a.index)
     if mask is None:
-        order, starts, sizes = _class_blocks(group)
-        i = class_id_of(a)
-        members = order[starts[i] : starts[i] + sizes[i]]
-        commutators = group.np_table()[group.inverse_table[a.index], members]
-        mask = memo[a.index] = _mask_of(commutators, group.order)
+        if group.factors:  # [(h,k),G] = [h,H] x [k,K]
+            # below a factor F, (x, y) is bit x*w + y with y < w, so the mask
+            # of A x Y is the mask of Y times the sum of 2^(x*w) over x in A
+            mask, width, rest = 1, 1, a.index
+            for f in reversed(group.factors):
+                rest, x = divmod(rest, f.order)
+                mask *= sum(1 << (y * width) for y in commutator_set(Element(f, x)))
+                width *= f.order
+        else:
+            order, starts, sizes = _class_blocks(group)
+            i = class_id_of(a)
+            members = order[starts[i] : starts[i] + sizes[i]]
+            commutators = group.np_table()[group.inverse_table[a.index], members]
+            mask = _mask_of(commutators, group.order)
+        memo[a.index] = mask
     return ElementSet(group, mask)
 
 
@@ -521,7 +576,12 @@ def is_subgroup(s: ElementSet) -> bool:
     memo: Dict[int, bool] = s.group._cache.setdefault("is_subgroup_memo", {})
     verdict = memo.get(s.mask)
     if verdict is None:
-        verdict = memo[s.mask] = set_product(s, s).issubset(s)
+        parts = _factor_parts(s)  # a product set is closed exactly when each part is
+        if parts is None:
+            verdict = set_product(s, s).issubset(s)
+        else:
+            verdict = all(is_subgroup(p) for p in parts)
+        memo[s.mask] = verdict
     return verdict
 
 

@@ -213,26 +213,23 @@ def direct_product(
     group_id: Optional[str] = None,
     max_order: Optional[int] = None,
 ) -> FiniteGroup:
-    """Direct product with x-major indexing: (x, y) -> x*|K| + y."""
+    """Direct product with x-major indexing: (x, y) -> x*|K| + y.
+
+    The factors of g and k (a product gives its own) are kept as one flat
+    tuple, and the table is filled only when it is first read.
+    """
     _check_order(f"prod({g.group_id},{k.group_id})", (g.order, k.order), max_order)
-    n = g.order * k.order
-    go, ko = g.order, k.order
-    table = np.empty((n, n), dtype=np.int16)
-    np.add(  # g's entries times ko in int32: ko itself can be 32768, past int16
-        g.np_table().astype(np.int32)[:, None, :, None] * ko,
-        k.np_table()[None, :, None, :],
-        out=table.reshape(go, ko, go, ko),
-    )
+    ko = k.order
     ginv = np.asarray(g.inverse_table, dtype=np.int32)
     kinv = np.asarray(k.inverse_table, dtype=np.int32)
-    inverse = (ginv[:, None] * ko + kinv[None, :]).reshape(n)
-    names = [f"({g.name_of(x)},{k.name_of(y)})" for x in range(go) for y in range(ko)]
+    inverse = (ginv[:, None] * ko + kinv[None, :]).reshape(-1)
+    names = [f"({g.name_of(x)},{k.name_of(y)})" for x in range(g.order) for y in range(ko)]
     gen_indices = tuple(gi * ko for gi in g.generator_indices) + tuple(
         int(ki) for ki in k.generator_indices
     )
     gid = group_id if group_id is not None else f"prod({g.group_id},{k.group_id})"
-    return FiniteGroup(
-        table,
+    return FiniteGroup.from_factors(
+        tuple(f for x in (g, k) for f in (x.factors or (x,))),
         gid,
         element_names=names,
         generator_indices=gen_indices,

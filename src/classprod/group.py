@@ -7,6 +7,7 @@ against that limit before it allocates a table.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -69,10 +70,11 @@ def _narrow(arr: np.ndarray, n: int) -> np.ndarray:
 def _adopt_table(table, group_id: str) -> np.ndarray:
     """table as an int16 C-order n x n array that nothing else can write to.
 
-    A writable int16 C-contiguous array that owns its buffer is taken over
-    as is, so a builder hands its result over without a copy. Anything else
-    (lists, rows, other dtypes, views of a buffer the caller keeps) must be
-    square with entries in 0..n-1, and is copied into a fresh int16 array.
+    Every table must be square with entries in 0..n-1. A writable int16
+    C-contiguous array that owns its buffer is then taken over as is, so a
+    builder hands its result over without a copy. Anything else (lists,
+    rows, other dtypes, views of a buffer the caller keeps) is copied into a
+    fresh int16 array.
     """
     owned = (
         isinstance(table, np.ndarray)
@@ -85,7 +87,10 @@ def _adopt_table(table, group_id: str) -> np.ndarray:
     n = len(arr)
     if arr.shape != (n, n):
         raise ValueError(f"table of {group_id!r} is not square: shape {arr.shape}")
-    return arr if owned else _narrow(arr, n)
+    # one pass over an owned table: a negative entry reads as 32768 or more here
+    if owned and arr.view(np.uint16).max() < n:
+        return arr
+    return _narrow(arr, n)
 
 
 class FiniteGroup:
@@ -93,11 +98,13 @@ class FiniteGroup:
 
     The table is one read-only int16 n x n array, np_table(), so order is
     at most TABLE_ORDER_LIMIT (32768); table[a] is row a as a zero-copy
-    memoryview of it, so table[a][b] is the product a*b. The constructor
-    checks the shape, the entries of a table it has to copy, the identity
-    row and column and the inverses, but not associativity: class data of a
-    table that is no group is meaningless, so untrusted tables belong in
-    from_cayley_table, which checks everything. Elements are ordered by
+    memoryview of it, so table[a][b] is the product a*b. A direct product
+    (from_factors) keeps its factors in factors, empty for any other group,
+    and fills its table on first read. The constructor checks the shape,
+    the entries of the table, the identity row and column and the inverses,
+    but not associativity: class data of a table that is no group is
+    meaningless, so untrusted tables belong in from_cayley_table, which
+    checks everything. Elements are ordered by
     construction: breadth-first discovery order for generator input,
     canonicalized table order (identity moved to the front) for raw table
     input. Instances are treated as immutable; derived data such as
@@ -114,6 +121,7 @@ class FiniteGroup:
         "element_names",
         "named_elements",
         "generator_indices",
+        "factors",
         "_np_table",
         "_cache",
     )
@@ -130,10 +138,7 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise NoIdentity("empty multiplication table")
-        if n > TABLE_ORDER_LIMIT:
-            raise OrderExceeded(
-                f"table of {group_id!r} has order {n}, over the int16 limit {TABLE_ORDER_LIMIT}"
-            )
+        _check_limit(n, group_id)
         t = _adopt_table(table, group_id)
         ar = np.arange(n)
         if not np.array_equal(t[0], ar):
@@ -147,12 +152,62 @@ class FiniteGroup:
             if not found.all():
                 raise NoInverse(int(np.argmin(found)))
             inverse_table = inverse.tolist()
-        t.setflags(write=False)
-        flat = memoryview(t.reshape(-1))
+        self._describe(n, group_id, element_names, named_elements, generator_indices, inverse_table)
+        self.factors: Tuple[FiniteGroup, ...] = ()
+        self._set_table(t)
+
+    @classmethod
+    def from_factors(
+        cls,
+        factors: Sequence["FiniteGroup"],
+        group_id: str,
+        element_names: Optional[List[str]],
+        generator_indices: Tuple[int, ...],
+        inverse_table: Sequence[int],
+    ) -> "FiniteGroup":
+        """The direct product of factors, x-major: (x_1, ..., x_m) is index
+        sum_i x_i * |F_i+1| * ... * |F_m|.
+
+        factors is one flat tuple of groups that are not products. Class data,
+        commutator sets and subgroup tests of product-shaped sets are read
+        from the factors (classalg); the table is filled from the factors'
+        tables on the first read of table or np_table(), and is then the
+        same read-only int16 array as any group's.
+        """
+        n = math.prod(f.order for f in factors)
+        _check_limit(n, group_id)
+        group = cls.__new__(cls)
+        group._describe(n, group_id, element_names, None, generator_indices, inverse_table)
+        group.factors = tuple(factors)
+        return group
+
+    def __getattr__(self, name: str):
+        # reached only for a product whose table slots are still unset
+        if name not in ("table", "_np_table") or not self.factors:
+            raise AttributeError(name)
+        t = self.factors[0].np_table()
+        for k in self.factors[1:]:
+            go, ko = len(t), k.order
+            # g * ko <= n - ko < 32768, and 0 when |g| = 1 even for ko = 32768
+            scaled = (t.astype(np.int32) * ko).astype(np.int16)
+            t = np.empty((go * ko, go * ko), dtype=np.int16)
+            np.add(scaled[:, None, :, None], k.np_table()[None, :, None, :],
+                   out=t.reshape(go, ko, go, ko))
+        self._set_table(t)
+        return object.__getattribute__(self, name)
+
+    def _describe(
+        self,
+        n: int,
+        group_id: str,
+        element_names: Optional[List[str]],
+        named_elements: Optional[Dict[str, int]],
+        generator_indices: Tuple[int, ...],
+        inverse_table: Sequence[int],
+    ) -> None:
+        """Everything but the table, checked against the order n."""
         self.order = n
         self.group_id = group_id
-        self._np_table = t
-        self.table = [flat[i * n : (i + 1) * n] for i in range(n)]
         self.inverse_table = list(inverse_table)
         if element_names is not None and len(element_names) != n:
             raise ValueError(f"expected {n} element names, got {len(element_names)}")
@@ -163,6 +218,13 @@ class FiniteGroup:
                 raise ValueError(f"generator index {g} of {group_id!r} outside 0..{n - 1}")
         self.generator_indices = tuple(generator_indices)
         self._cache: Dict[str, object] = {}
+
+    def _set_table(self, t: np.ndarray) -> None:
+        t.setflags(write=False)
+        flat = memoryview(t.reshape(-1))
+        n = self.order
+        self._np_table = t
+        self.table = [flat[i * n : (i + 1) * n] for i in range(n)]
 
     # -- index-level arithmetic ------------------------------------------
 
@@ -219,6 +281,13 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.group_id!r}, order={self.order})"
+
+
+def _check_limit(n: int, group_id: str) -> None:
+    if n > TABLE_ORDER_LIMIT:
+        raise OrderExceeded(
+            f"table of {group_id!r} has order {n}, over the int16 limit {TABLE_ORDER_LIMIT}"
+        )
 
 
 class Element:

@@ -43,6 +43,7 @@ from .classalg import (
     quotient,
     QuotientMap,
     _class_blocks,
+    _commutes_with,
     _inverse_array,
 )
 from .constructions import direct_product
@@ -703,7 +704,8 @@ def check_direct_product_eta(
 def _direct_product_eta_pair(out: _Tally, prod: FiniteGroup, a: Element, k: FiniteGroup,
                              b: Element) -> None:
     pair = Element(prod, a.index * k.order + b.index)
-    size = conjugacy_class(pair).size
+    # n / |C(pair)| from the product's own table: its class data comes from the factors
+    size = prod.order // int(np.count_nonzero(_commutes_with(prod, pair.index)))
     expected = conjugacy_class(a).size * conjugacy_class(b).size
     e = eta_of_product(pair, pair)
     if size != expected or e != 1:

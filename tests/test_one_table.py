@@ -83,6 +83,13 @@ class TestConstructorChecks:
         with pytest.raises(ValueError):
             FiniteGroup([[0, 1, 2], [1, 0, 2]], "wide")
 
+    @pytest.mark.parametrize("bad", [-1, 6, -32768])
+    def test_owned_int16_array_entries_are_range_checked(self, groups, bad):
+        arr = np.array(cayley_rows(groups["sym:3"]), dtype=np.int16)
+        arr[2, 3] = bad  # off the identity row and column
+        with pytest.raises(ValueError, match=f"row 2 contains entry {bad} outside 0..5"):
+            FiniteGroup(arr, "s3-bad")
+
 
 def test_cayley_round_trip_sym5(tmp_path, groups):
     g = groups["sym:5"]
