@@ -2,9 +2,14 @@
 
 Everything here works on one group at a time; mixing groups raises
 GroupMismatch. Derived data (classes, centralizers, closures, verdicts of the
-structure predicates) is cached on the owning FiniteGroup. The caches are
-idempotent pure computations, so a duplicated computation under concurrent
-access is harmless.
+structure predicates) is cached on the owning FiniteGroup, and only this
+module reads or writes those caches. A cache holds ints, bools, numpy arrays
+and containers of those, nothing else: the Element, ElementSet,
+ConjugacyClass and QuotientMap objects that point back at a group are made
+at the API on each call, so no group sits in a reference cycle and a
+dropped group is freed at once. The caches are idempotent pure
+computations, so a duplicated computation under concurrent access is
+harmless.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -257,10 +262,10 @@ def _factor_classes(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndar
     """
     class_id, reps, sizes = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
     for f in group.factors:
-        order, starts, counts = _class_blocks(f)
-        class_id = (class_id[:, None] * len(counts) + class_id_array(f)).reshape(-1)
-        reps = (reps[:, None] * f.order + order[starts]).reshape(-1)
-        sizes = (sizes[:, None] * counts).reshape(-1)
+        data = _class_data(f)
+        class_id = (class_id[:, None] * len(data.reps) + data.class_id).reshape(-1)
+        reps = (reps[:, None] * f.order + data.reps).reshape(-1)
+        sizes = (sizes[:, None] * data.sizes).reshape(-1)
     return class_id, reps, sizes
 
 
@@ -282,32 +287,45 @@ def _factor_parts(s: "ElementSet") -> Optional[List["ElementSet"]]:
     return parts
 
 
-def _class_data(group: FiniteGroup) -> Tuple[Tuple[ConjugacyClass, ...], List[int]]:
-    """The classes in order of their least members, and the class id of every element."""
+class _ClassData(NamedTuple):
+    """A group's class record: read-only arrays, in class order, and one mask per class."""
+
+    reps: np.ndarray  # each class's least member
+    class_id: np.ndarray  # the class id of every element
+    order: np.ndarray  # every element, listed class by class, in index order within a class
+    starts: np.ndarray  # the start of each class's block in order
+    sizes: np.ndarray  # the size of each class
+    masks: Tuple[int, ...]  # each class as an element mask
+
+
+def _class_data(group: FiniteGroup) -> _ClassData:
+    """The group's class record, cached; classes run in order of their least members."""
     cached = group._cache.get("class_data")
     if cached is not None:
         return cached
     n = group.order
     if group.factors:
-        class_id, reps, counts = _factor_classes(group)
+        class_id, reps, sizes = _factor_classes(group)
     else:
-        class_id, reps, counts = _orbit_classes(group)
-    class_id.setflags(write=False)
+        class_id, reps, sizes = _orbit_classes(group)
     order = np.argsort(class_id, kind="stable")
-    starts = np.cumsum(counts) - counts
-    group._cache.update(np_class_id=class_id, class_blocks=(order, starts, counts))
-    classes = tuple(
-        ConjugacyClass(Element(group, r), ElementSet(group, _mask_of(order[s : s + c], n)))
-        for r, s, c in zip(reps.tolist(), starts.tolist(), counts.tolist())
-    )
-    data = group._cache["class_data"] = (classes, class_id.tolist())
+    starts = np.cumsum(sizes) - sizes
+    masks = tuple(_mask_of(order[s : s + c], n) for s, c in zip(starts.tolist(), sizes.tolist()))
+    data = _ClassData(reps, class_id, order, starts, sizes, masks)
+    for arr in data[:5]:
+        arr.setflags(write=False)
+    group._cache["class_data"] = data
     return data
+
+
+def _conjugacy_class(group: FiniteGroup, i: int) -> ConjugacyClass:
+    data = _class_data(group)
+    return ConjugacyClass(Element(group, int(data.reps[i])), ElementSet(group, data.masks[i]))
 
 
 def class_id_array(group: FiniteGroup) -> np.ndarray:
     """The class id of every element, as a read-only array."""
-    _class_data(group)
-    return group._cache["np_class_id"]
+    return _class_data(group).class_id
 
 
 def _member_array(x: "ElementSet") -> np.ndarray:
@@ -319,39 +337,35 @@ def _member_array(x: "ElementSet") -> np.ndarray:
 
 def _class_counts(x: "ElementSet") -> Tuple[np.ndarray, np.ndarray]:
     """x's membership vector, and how many members x has in each class."""
-    cid = class_id_array(x.group)
+    data = _class_data(x.group)
     member = _member_array(x)
-    return member, np.bincount(cid[member], minlength=len(_class_data(x.group)[0]))
+    return member, np.bincount(data.class_id[member], minlength=len(data.reps))
 
 
 def _class_blocks(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every element listed class by class, in index order within a class,
-    with the start and the size of each class's block in that list.
-    """
-    _class_data(group)
-    return group._cache["class_blocks"]
+    """The order, starts and sizes of the class record."""
+    return _class_data(group)[2:5]
 
 
 def conjugacy_classes(group: FiniteGroup) -> Tuple[ConjugacyClass, ...]:
-    """All classes, ordered by their least representatives."""
-    return _class_data(group)[0]
+    """All classes, ordered by their least representatives.
+
+    Each call builds a fresh tuple, equal to the last, from the cached class record.
+    """
+    return tuple(_conjugacy_class(group, i) for i in range(len(_class_data(group).reps)))
 
 
 def class_id_of(a: Element) -> int:
-    return _class_data(a.group)[1][a.index]
+    return int(_class_data(a.group).class_id[a.index])
 
 
 def conjugacy_class(a: Element) -> ConjugacyClass:
-    classes, class_id = _class_data(a.group)
-    return classes[class_id[a.index]]
+    return _conjugacy_class(a.group, _class_data(a.group).class_id[a.index])
 
 
 def centralizer(a: Element) -> ElementSet:
-    """All g with a^g = a: the cached mask, else two table rows."""
-    group, masks = a.group, a.group._cache.get("centralizer_masks")
-    if masks is not None:
-        return ElementSet(group, masks[a.index])
-    return ElementSet(group, _mask_of(_commutes_with(group, a.index), group.order))
+    """All g with a^g = a, from two table rows."""
+    return ElementSet(a.group, _mask_of(_commutes_with(a.group, a.index), a.group.order))
 
 
 def _centralizer_masks(group: FiniteGroup) -> List[int]:
@@ -383,6 +397,20 @@ def centralizer_buckets(group: FiniteGroup) -> Dict[int, Tuple[int, ...]]:
     return out
 
 
+def equal_centralizer_arrays(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray]:
+    """Every (class representative a, element b) with C(a) = C(b), as two
+    arrays: a in class order, and the b of each a in index order.
+
+    Restricting the first coordinate to representatives loses nothing: every
+    condition checked downstream is conjugation-covariant, so (a, b) and
+    (a^g, b^g) stand or fall together.
+    """
+    buckets, masks = centralizer_buckets(group), _centralizer_masks(group)
+    reps = _class_data(group).reps
+    partners = [buckets[masks[r]] for r in reps.tolist()]
+    return np.repeat(reps, [len(p) for p in partners]), np.concatenate(partners)
+
+
 def commutator_set(a: Element) -> ElementSet:
     """[a, G] = {a^-1 * a^g : g in G}, which is a^-1 times the class of a."""
     group = a.group
@@ -398,9 +426,9 @@ def commutator_set(a: Element) -> ElementSet:
                 mask *= sum(1 << (y * width) for y in commutator_set(Element(f, x)))
                 width *= f.order
         else:
-            order, starts, sizes = _class_blocks(group)
-            i = class_id_of(a)
-            members = order[starts[i] : starts[i] + sizes[i]]
+            data = _class_data(group)
+            i = data.class_id[a.index]
+            members = data.order[data.starts[i] : data.starts[i] + data.sizes[i]]
             commutators = group.np_table()[group.inverse_table[a.index], members]
             mask = _mask_of(commutators, group.order)
         memo[a.index] = mask
@@ -433,15 +461,12 @@ def commutator_set_ids(group: FiniteGroup) -> Tuple[np.ndarray, List[int]]:
 
 def center(group: FiniteGroup) -> ElementSet:
     """Elements commuting with everything: the union of the one-element classes."""
-    mask = group._cache.get("center_mask")
-    if mask is None:
-        central = _class_blocks(group)[2][class_id_array(group)] == 1
-        mask = group._cache["center_mask"] = _mask_of(central, group.order)
-    return ElementSet(group, mask)
+    data = _class_data(group)
+    return ElementSet(group, _mask_of(data.sizes[data.class_id] == 1, group.order))
 
 
 def is_abelian(group: FiniteGroup) -> bool:
-    return len(conjugacy_classes(group)) == group.order
+    return len(_class_data(group).reps) == group.order
 
 
 # -- set products and decomposition --------------------------------------
@@ -475,24 +500,21 @@ def set_product(x: ElementSet, y: ElementSet) -> ElementSet:
 # Computational Group Theory, 2005, section 7.)
 
 
-class _ClassKernel:
-    __slots__ = ("eta", "keys")
-
-    def __init__(self, k: int):
-        self.eta = np.zeros((k, k), dtype=np.int32)  # rows filled as they are built
-        self.keys: List[Optional[np.ndarray]] = [None] * k
+class _ClassKernel(NamedTuple):
+    eta: np.ndarray  # k x k, rows filled as they are built
+    keys: List[Optional[np.ndarray]]
 
 
 def _kernel_row(group: FiniteGroup, i: int) -> _ClassKernel:
     """The group's kernel with row i (the products C_i C_j) built."""
+    data = _class_data(group)
+    k = len(data.reps)
     kernel = group._cache.get("class_kernel")
     if kernel is None:
-        kernel = group._cache["class_kernel"] = _ClassKernel(len(_class_data(group)[0]))
+        kernel = group._cache["class_kernel"] = _ClassKernel(np.zeros((k, k), dtype=np.int32), [None] * k)
     if kernel.keys[i] is None:
-        classes = _class_data(group)[0]
-        cid = class_id_array(group)
-        k = len(classes)
-        keys = np.sort(cid * k + cid[group.np_table()[classes[i].representative.index]])
+        cid = data.class_id
+        keys = np.sort(cid * k + cid[group.np_table()[data.reps[i]]])
         keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
         kernel.eta[i] = np.bincount(keys // k, minlength=k)
         kernel.keys[i] = keys.astype(np.int32)
@@ -508,7 +530,7 @@ def class_eta_matrix(group: FiniteGroup) -> np.ndarray:
     """eta(C_i C_j) for every ordered pair of classes, as a read-only k x k array."""
     view = group._cache.get("class_eta")
     if view is None:  # kept once every row is built
-        for i in range(len(_class_data(group)[0])):
+        for i in range(len(_class_data(group).reps)):
             kernel = _kernel_row(group, i)
         view = group._cache["class_eta"] = kernel.eta.view()
         view.setflags(write=False)
@@ -519,17 +541,17 @@ def class_product(a: Element, b: Element) -> ElementSet:
     """a^G * b^G, the union of the class masks in the pair's support row."""
     _require_same_group(a, b)
     group = a.group
-    classes, class_id = _class_data(group)
-    i, j = class_id[a.index], class_id[b.index]
+    data = _class_data(group)
+    i, j = int(data.class_id[a.index]), int(data.class_id[b.index])
     memo: Dict[Tuple[int, int], int] = group._cache.setdefault("class_products", {})
     mask = memo.get((i, j))
     if mask is None:
         kernel = _kernel_row(group, i)
-        keys, first = kernel.keys[i], j * len(classes)
+        keys, first = kernel.keys[i], j * len(data.reps)
         lo = int(keys.searchsorted(first))
         mask = 0
         for l in (keys[lo : lo + kernel.eta[i, j]] - first).tolist():
-            mask |= classes[l].carrier.mask
+            mask |= data.masks[l]
         memo[(i, j)] = mask
     return ElementSet(group, mask)
 
@@ -542,14 +564,14 @@ def decompose(x: ElementSet) -> ClassDecomposition:
     least conjugator that moves it out.
     """
     group = x.group
-    classes = _class_data(group)[0]
+    data = _class_data(group)
     member, counts = _class_counts(x)
-    partial = (counts > 0) & (counts < _class_blocks(group)[2])
+    partial = (counts > 0) & (counts < data.sizes)
     if partial.any():
-        i = int(np.argmax(member & partial[class_id_array(group)]))
+        i = int(np.argmax(member & partial[data.class_id]))
         g = int(np.argmin(member[_conjugates(group, i)]))
         raise NotInvariant(i, g)
-    parts = tuple(classes[c] for c in np.flatnonzero(counts).tolist())
+    parts = tuple(_conjugacy_class(group, c) for c in np.flatnonzero(counts).tolist())
     return ClassDecomposition(source=x, classes=parts)
 
 
@@ -561,7 +583,7 @@ def eta(x: ElementSet) -> int:
 def eta_of_product(a: Element, b: Element) -> int:
     """eta(a^G b^G), read from the class-support kernel."""
     _require_same_group(a, b)
-    class_id = _class_data(a.group)[1]
+    class_id = _class_data(a.group).class_id
     i = class_id[a.index]
     return int(_kernel_row(a.group, i).eta[i, class_id[b.index]])
 
@@ -593,7 +615,7 @@ def is_normal(s: ElementSet) -> bool:
     verdict = memo.get(s.mask)
     if verdict is None:
         counts = _class_counts(s)[1]
-        verdict = memo[s.mask] = bool(np.all((counts == 0) | (counts == _class_blocks(s.group)[2])))
+        verdict = memo[s.mask] = bool(np.all((counts == 0) | (counts == _class_data(s.group).sizes)))
     return verdict
 
 
@@ -628,7 +650,7 @@ def _class_closures(group: FiniteGroup) -> Tuple[int, ...]:
     cached = group._cache.get("class_closures")
     if cached is None:
         cached = group._cache["class_closures"] = tuple(
-            subgroup_generated(cls.carrier).mask for cls in conjugacy_classes(group)
+            subgroup_generated(ElementSet(group, m)).mask for m in _class_data(group).masks
         )
     return cached
 
@@ -715,6 +737,20 @@ def quotient(group: FiniteGroup, n: ElementSet) -> QuotientMap:
     qid = f"{group.group_id}/N{len(members)}m{smallest}"
     q = FiniteGroup(qtable, qid, element_names=names)
     return QuotientMap(source=group, quotient=q, projection=tuple(coset_id.tolist()), kernel=n)
+
+
+def _quotient_classes(group: FiniteGroup, n: ElementSet) -> Tuple[np.ndarray, np.ndarray]:
+    """The class in G/N of every element of G, and the eta matrix of G/N.
+
+    Only these arrays are kept, for the last N asked; G/N itself is freed
+    on return, before any other quotient is built.
+    """
+    memo = group._cache.get("last_quotient")  # (kernel mask, classes, eta): one entry
+    if memo is None or memo[0] != n.mask or n.group is not group:
+        qm = quotient(group, n)
+        classes = class_id_array(qm.quotient)[np.asarray(qm.projection)]
+        memo = group._cache["last_quotient"] = (n.mask, classes, class_eta_matrix(qm.quotient))
+    return memo[1], memo[2]
 
 
 # -- structure predicates --------------------------------------------------

@@ -108,7 +108,9 @@ class FiniteGroup:
     construction: breadth-first discovery order for generator input,
     canonicalized table order (identity moved to the front) for raw table
     input. Instances are treated as immutable; derived data such as
-    conjugacy classes is cached on first use under _cache.
+    conjugacy classes is cached on first use under _cache, which classalg
+    alone fills, with ints, bools, numpy arrays and containers of those
+    only, so that no cached value refers back to a group.
     """
 
     identity_index = 0

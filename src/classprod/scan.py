@@ -17,18 +17,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classalg import (
-    centralizer,
-    centralizer_buckets,
     class_eta_matrix,
-    class_id_array,
     commutator_set,
-    conjugacy_class,
-    conjugacy_classes,
+    equal_centralizer_arrays,
     is_nilpotent,
     is_normal,
     is_prime_power,
     is_simple_nonabelian,
     is_supersolvable,
+    _class_data,
 )
 from .constructions import GroupSpec, build_group
 from .errors import InternalContradiction
@@ -213,35 +210,24 @@ def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> L
     over all elements when the flag is off.
     """
     flags = group_flags(group)
+    data = _class_data(group)
+    pair_a, pair_b = equal_centralizer_arrays(group)
+    equal = np.zeros((len(data.reps), group.order), dtype=bool)  # [class of a, b]
+    equal[data.class_id[pair_a], pair_b] = True
+    hit = (class_eta_matrix(group) == 1)[:, data.class_id]
+    if require_equal_centralizers:
+        hit &= equal
+    i, b = np.nonzero(hit)  # class by class, b in index order
+    fixed = dict(group_id=group.group_id, group_order=group.order, eta=1, homogeneous=True, flags=flags)
     rows: List[ScanRow] = []
-    buckets = centralizer_buckets(group)
-    eta = class_eta_matrix(group)
-    cid = class_id_array(group)
-    for i, cls in enumerate(conjugacy_classes(group)):
-        a = cls.representative
-        if require_equal_centralizers:
-            b_indices = np.array(buckets[centralizer(a).mask])
-        else:
-            b_indices = np.arange(group.order)
-        for bi in b_indices[eta[i, cid[b_indices]] == 1].tolist():
-            b = Element(group, bi)
-            if centralizer(a) == centralizer(b):
-                _audit_homogeneous(group, a, b)
-            rows.append(
-                ScanRow(
-                    group_id=group.group_id,
-                    group_order=group.order,
-                    a_rep=a.index,
-                    b_rep=bi,
-                    a_name=a.name,
-                    b_name=b.name,
-                    class_size_a=cls.size,
-                    class_size_b=conjugacy_class(b).size,
-                    eta=1,
-                    homogeneous=True,
-                    flags=flags,
-                )
-            )
+    for x, y, audit, size_a, size_b in zip(
+        data.reps[i].tolist(), b.tolist(), equal[i, b].tolist(),
+        data.sizes[i].tolist(), data.sizes[data.class_id[b]].tolist(),
+    ):
+        if audit:
+            _audit_homogeneous(group, Element(group, x), Element(group, y))
+        rows.append(ScanRow(a_rep=x, b_rep=y, a_name=group.name_of(x), b_name=group.name_of(y),
+                            class_size_a=size_a, class_size_b=size_b, **fixed))
     return rows
 
 

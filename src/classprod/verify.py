@@ -21,7 +21,6 @@ from .classalg import (
     ElementSet,
     center,
     centralizer,
-    centralizer_buckets,
     class_eta_matrix,
     class_id_array,
     class_product,
@@ -31,6 +30,7 @@ from .classalg import (
     conjugacy_class,
     conjugacy_classes,
     decompose,
+    equal_centralizer_arrays,
     eta_of_product,
     is_nilpotent,
     is_normal,
@@ -40,11 +40,11 @@ from .classalg import (
     is_supersolvable,
     normal_subgroups,
     minimal_normal_subgroups,
-    quotient,
-    QuotientMap,
     _class_blocks,
+    _class_data,
     _commutes_with,
     _inverse_array,
+    _quotient_classes,
 )
 from .constructions import direct_product
 from .errors import GroupMismatch, HypothesisViolated
@@ -230,11 +230,15 @@ def _replay(statement_id: str, group: FiniteGroup, pair: Callable[..., None],
     return out.report(statement_id, group, notes)
 
 
-def _pair_arrays(group: FiniteGroup, a: Element, b: Element) -> Tuple[np.ndarray, np.ndarray]:
-    """One pair as the pair arrays of the batched checkers."""
-    for x in (a, b):
+def _require_in(group: FiniteGroup, *elements: Element) -> None:
+    for x in elements:
         if x.group is not group:
             raise GroupMismatch(f"element of {x.group_id!r} checked in {group.group_id!r}")
+
+
+def _pair_arrays(group: FiniteGroup, a: Element, b: Element) -> Tuple[np.ndarray, np.ndarray]:
+    """One pair as the pair arrays of the batched checkers."""
+    _require_in(group, a, b)
     return np.array([a.index]), np.array([b.index])
 
 
@@ -245,23 +249,14 @@ def _require_equal_centralizers(statement_id: str, a: Element, b: Element) -> No
         )
 
 
-def equal_centralizer_pairs(group: FiniteGroup) -> List[Tuple[Element, Element]]:
-    """All (class representative a, element b) with C(a) = C(b) as sets.
-
-    Restricting the first coordinate to representatives loses nothing: every
-    condition checked downstream is conjugation-covariant, so (a, b) and
-    (a^g, b^g) stand or fall together.
-    """
-    a, b = _equal_centralizer_arrays(group)
+def _elements(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> List[Tuple[Element, Element]]:
     return [(Element(group, x), Element(group, y)) for x, y in zip(a.tolist(), b.tolist())]
 
 
-def _equal_centralizer_arrays(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray]:
-    buckets = centralizer_buckets(group)
-    reps = [cls.representative for cls in conjugacy_classes(group)]
-    partners = [buckets[centralizer(a).mask] for a in reps]
-    a = np.repeat([r.index for r in reps], [len(p) for p in partners])
-    return a, np.concatenate(partners)
+def equal_centralizer_pairs(group: FiniteGroup) -> List[Tuple[Element, Element]]:
+    """All (class representative a, element b) with C(a) = C(b) as sets, as
+    elements; equal_centralizer_arrays gives the same pairs as arrays."""
+    return _elements(group, *equal_centralizer_arrays(group))
 
 
 # -- checkers: a public hypothesis gate over one pair, and the pair itself --
@@ -276,8 +271,9 @@ def check_theorem_a(group: FiniteGroup, a: Element, b: Element) -> VerifierRepor
     separately as clause in-particular; it can disagree with the main claim,
     which is reported as a discrepancy, not a failure.
     """
+    pair = _pair_arrays(group, a, b)
     _require_equal_centralizers("theorem-a", a, b)
-    return _theorem_a_report(group, *_pair_arrays(group, a, b))
+    return _theorem_a_report(group, *pair)
 
 
 def _theorem_a_sides(group: FiniteGroup, a: np.ndarray,
@@ -495,16 +491,12 @@ def check_quotient_eta(group: FiniteGroup, n: ElementSet, a: Element, b: Element
     disjoint upstairs. Raises NotNormal for a bad n, and GroupMismatch for
     an element of another group.
     """
-    memo = group._cache.get("last_quotient")  # (kernel mask, G/N): one entry
-    if memo is None or memo[0] != n.mask or n.group is not group:
-        memo = (n.mask, quotient(group, n))
-        group._cache["last_quotient"] = memo
-    return _quotient_eta_report(group, [memo[1]], *_pair_arrays(group, a, b))
+    return _quotient_eta_report(group, [n], *_pair_arrays(group, a, b))
 
 
-def _quotient_eta_report(group: FiniteGroup, quotients: Iterable[QuotientMap],
+def _quotient_eta_report(group: FiniteGroup, kernels: Iterable[ElementSet],
                          a: np.ndarray, b: np.ndarray, notes: Iterable[str] = ()) -> VerifierReport:
-    """check_quotient_eta for every quotient map and every pair (a[p], b[p]).
+    """check_quotient_eta for every kernel N and every pair (a[p], b[p]).
 
     The eta of each product upstairs and in each quotient is read from that
     group's own class-support kernel, the quotient's through the projection;
@@ -516,18 +508,17 @@ def _quotient_eta_report(group: FiniteGroup, quotients: Iterable[QuotientMap],
     eta_parent = class_eta_matrix(group)[cid[a], cid[b]]
     same_class = cid[a] == cid[b]
     out = _Tally()
-    for qm in quotients:
+    for n in kernels:
         out.checked += len(a)
-        proj = np.asarray(qm.projection)
-        qcid = class_id_array(qm.quotient)
-        qa, qb = qcid[proj[a]], qcid[proj[b]]
-        eta_quot = class_eta_matrix(qm.quotient)[qa, qb]
+        qcid, qeta = _quotient_classes(group, n)
+        qa, qb = qcid[a], qcid[b]
+        eta_quot = qeta[qa, qb]
         rises = eta_quot > eta_parent
         disjoint = qa != qb
         split = disjoint & same_class  # disjoint downstairs but not upstairs
         if disjoint.any():
             out.clause("disjointness", "holds")
-        kernel = list(qm.kernel)
+        kernel = list(n)
         for p in np.flatnonzero(rises | split).tolist():
             ai, bi = int(a[p]), int(b[p])
             if rises[p]:
@@ -559,6 +550,7 @@ def check_center_intersection(group: FiniteGroup, a: Element) -> VerifierReport:
     clauses fail in some even-order groups (q8 squares its order-4 classes
     straight into the center), hence the hard hypothesis.
     """
+    _require_in(group, a)
     if group.order % 2 == 0:
         raise HypothesisViolated(
             f"center-intersection: {group.group_id} has even order {group.order}; "
@@ -602,6 +594,7 @@ def check_size2(group: FiniteGroup, a: Element, b: Element) -> VerifierReport:
     Also checks the four-element shape of the product:
     a^G b^G = {ab, ab.s, ab.t, ab.s.t} where [a,G] = {1, s}, [b,G] = {1, t}.
     """
+    _require_in(group, a, b)
     _require_equal_centralizers("size2-classes", a, b)
     if conjugacy_class(a).size != 2:
         raise HypothesisViolated(
@@ -639,17 +632,18 @@ def _size2_pair(out: _Tally, group: FiniteGroup, a: Element, b: Element) -> None
             )
 
 
-def _is_two_power_class(a: Element) -> bool:
-    size = conjugacy_class(a).size
-    return size > 1 and size & (size - 1) == 0
+def _is_two_power(size: "int | np.ndarray") -> "bool | np.ndarray":
+    """Whether size > 1 is a power of 2; elementwise on an array of sizes."""
+    return (size > 1) & (size & (size - 1) == 0)
 
 
 def check_supersolvable_pow2(group: FiniteGroup, a: Element, b: Element) -> VerifierReport:
     """Supersolvable groups admit no homogeneous product over a 2-power class."""
+    _require_in(group, a, b)
     if not is_supersolvable(group):
         raise HypothesisViolated(f"supersolvable-two-power: {group.group_id} is not supersolvable")
     _require_equal_centralizers("supersolvable-two-power", a, b)
-    if not _is_two_power_class(a):
+    if not _is_two_power(conjugacy_class(a).size):
         raise HypothesisViolated(
             f"supersolvable-two-power: |class({a.name})| = {conjugacy_class(a).size} "
             "is not a 2-power > 1"
@@ -690,8 +684,14 @@ def check_direct_product_eta(
 
     Conclusions checked on G x K: the class of (a, b) has size
     |a^G| * |b^K|, and its square is again one class. The product group can
-    be passed in to amortize construction over many pairs.
+    be passed in to amortize construction over many pairs; its factors must
+    be those of group and k, the very same groups, or GroupMismatch.
     """
+    _require_in(group, a)
+    _require_in(k, b)
+    factors = [id(f) for x in (group, k) for f in (x.factors or (x,))]
+    if product_group is not None and [id(f) for f in product_group.factors] != factors:
+        raise GroupMismatch(f"{product_group.group_id!r} is not {group.group_id!r} x {k.group_id!r}")
     if eta_of_product(a, a) != 1 or eta_of_product(b, b) != 1:
         raise HypothesisViolated(
             "direct-product-eta: both factors need a homogeneous class square"
@@ -725,7 +725,7 @@ def _direct_product_eta_pair(out: _Tally, prod: FiniteGroup, a: Element, k: Fini
 
 
 def _agg_theorem_a(group: FiniteGroup) -> VerifierReport:
-    return _theorem_a_report(group, *_equal_centralizer_arrays(group))
+    return _theorem_a_report(group, *equal_centralizer_arrays(group))
 
 
 def _agg_theorem_b(group: FiniteGroup) -> VerifierReport:
@@ -739,15 +739,11 @@ def _grid(xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.repeat(xs, len(ys)), np.tile(ys, len(xs))
 
 
-def _representatives(group: FiniteGroup) -> np.ndarray:
-    return np.array([cls.representative.index for cls in conjugacy_classes(group)])
-
-
 def _product_formula_arrays(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, str]:
     every = np.arange(group.order)
     if group.order <= 27:
         return (*_grid(every, every), "pair strategy: all ordered element pairs")
-    reps = _representatives(group)
+    reps = _class_data(group).reps
     if group.order <= 120:
         return (*_grid(reps, every), "pair strategy: class representatives against all elements")
     return (*_grid(reps, reps), "pair strategy: class representatives only")
@@ -756,8 +752,7 @@ def _product_formula_arrays(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray,
 # Like _merge, kept for the tests: the aggregate's pairs as elements, in order.
 def _product_formula_pairs(group: FiniteGroup) -> Tuple[List[Tuple[Element, Element]], str]:
     a, b, strategy = _product_formula_arrays(group)
-    pairs = [(Element(group, x), Element(group, y)) for x, y in zip(a.tolist(), b.tolist())]
-    return pairs, strategy
+    return _elements(group, a, b), strategy
 
 
 def _agg_product_formula(group: FiniteGroup) -> VerifierReport:
@@ -773,13 +768,10 @@ def _agg_quotient_eta(group: FiniteGroup) -> VerifierReport:
         strategy = "all normal subgroups, all ordered element pairs"
     else:
         kernels = [ElementSet.from_indices(group, [0])] + list(minimal_normal_subgroups(group))
-        reps = _representatives(group)
+        reps = _class_data(group).reps
         a, b = _grid(reps, reps)
         strategy = "minimal normal subgroups, class representatives only"
-    # one quotient group alive at a time
-    return _quotient_eta_report(
-        group, (quotient(group, k) for k in kernels), a, b, [f"kernel strategy: {strategy}"]
-    )
+    return _quotient_eta_report(group, kernels, a, b, [f"kernel strategy: {strategy}"])
 
 
 def _agg_center_intersection(group: FiniteGroup) -> VerifierReport:
@@ -791,17 +783,23 @@ def _agg_center_intersection(group: FiniteGroup) -> VerifierReport:
     return _run("center-intersection", group, _center_intersection_pair, pairs)
 
 
+def _equal_centralizer_pairs_where(group: FiniteGroup, keep) -> List[Tuple[Element, Element]]:
+    """The equal-centralizer pairs whose first class size passes keep, as elements."""
+    a, b = equal_centralizer_arrays(group)
+    data = _class_data(group)
+    chosen = keep(data.sizes[data.class_id[a]])
+    return _elements(group, a[chosen], b[chosen])
+
+
 def _agg_size2(group: FiniteGroup) -> VerifierReport:
-    pairs = [
-        (group, a, b) for a, b in equal_centralizer_pairs(group) if conjugacy_class(a).size == 2
-    ]
-    return _run("size2-classes", group, _size2_pair, pairs)
+    pairs = _equal_centralizer_pairs_where(group, lambda size: size == 2)
+    return _run("size2-classes", group, _size2_pair, [(group, a, b) for a, b in pairs])
 
 
 def _agg_supersolvable_pow2(group: FiniteGroup) -> VerifierReport:
     if not is_supersolvable(group):
         return _vacuous("supersolvable-two-power", group, "group is not supersolvable")
-    pairs = [(a, b) for a, b in equal_centralizer_pairs(group) if _is_two_power_class(a)]
+    pairs = _equal_centralizer_pairs_where(group, _is_two_power)
     return _run("supersolvable-two-power", group, _supersolvable_pow2_pair, pairs)
 
 

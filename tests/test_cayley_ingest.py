@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from classprod import build_group, cli, from_cayley_table
-from classprod.classalg import _class_data
+from classprod.classalg import class_id_array, conjugacy_classes
 from classprod.group import _read_cayley, load_cayley
 
 from conftest import ORACLE_SPECS
@@ -41,7 +41,7 @@ def write_table(path, table):
 
 
 def class_data(g):
-    classes, class_id = _class_data(g)
+    classes, class_id = conjugacy_classes(g), class_id_array(g)
     return [(c.representative.index, c.carrier.mask) for c in classes], list(class_id)
 
 
