@@ -16,6 +16,7 @@ import sys
 from typing import List, Optional
 
 from .classalg import (
+    _class_data,
     center,
     centralizer,
     class_product,
@@ -103,7 +104,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     info = {
         "group_id": group.group_id,
         "order": group.order,
-        "classes": len(conjugacy_classes(group)),
+        "classes": len(_class_data(group).reps),
         "center_size": len(center(group)),
         "generators": list(group.generator_indices),
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -422,6 +423,15 @@ def close_from_generators(
 
 # -- construction from a raw table --------------------------------------
 
+_BLOCK_ROWS = 64  # rows per block of the .cayley reader and of table validation
+
+
+def _check_cap(n: int, max_order: Optional[int]) -> None:
+    """Raise OrderExceeded when a raw table of order n is over the order cap."""
+    cap = max_order_cap(max_order)
+    if n > cap:
+        raise OrderExceeded(f"table of order {n} exceeds the order cap {cap}")
+
 
 def from_cayley_table(
     rows: Sequence[Sequence[int]],
@@ -431,31 +441,39 @@ def from_cayley_table(
 ) -> FiniteGroup:
     """Validate a raw multiplication table and wrap it as a FiniteGroup.
 
-    Checks, in order: shape and entry range, a two-sided identity,
-    associativity (Light's test, with the cubic scan naming the first
-    failing triple), and two-sided inverses. Elements are then relabeled so
-    the identity is index 0; other elements keep their relative order.
+    Checks, in order: the order cap, shape and entry range, a two-sided
+    identity, associativity (Light's test, with the cubic scan naming the
+    first failing triple), and two-sided inverses, on a copy of rows.
+    Elements are then relabeled so the identity is index 0; other elements
+    keep their relative order.
     """
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty multiplication table")
-    cap = max_order_cap(max_order)
-    if n > cap:
-        raise OrderExceeded(f"table of order {n} exceeds the order cap {cap}")
-    t = _table_array(rows, n)
+    _check_cap(n, max_order)
+    return _group_of_table(_table_array(rows, n), group_id, element_names)
 
+
+def _group_of_table(
+    t: np.ndarray, group_id: str, element_names: Optional[Sequence[str]] = None
+) -> FiniteGroup:
+    """from_cayley_table past the entry range, on an int16 table t that it takes
+    over; no check makes an n x n temporary, and t is relabeled in place."""
+    n = len(t)
     ar = np.arange(n)
-    two_sided = (t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0)
-    if not two_sided.any():
+    # a two-sided identity e has e*0 = 0, so only those rows are candidates
+    candidates = np.flatnonzero(t[:, 0] == 0).tolist()
+    is_e = (x for x in candidates if np.array_equal(t[x], ar) and np.array_equal(t[:, x], ar))
+    e = next(is_e, None)
+    if e is None:
         raise NoIdentity("no two-sided identity element")
-    e = int(np.argmax(two_sided))
 
     if not _light_test(t, e):
         _cubic_associativity(t)  # undecided: name the first failing triple, or pass
 
-    is_e = t == e
-    y = is_e.argmax(axis=1)  # the first y with x*y = e, if there is one
-    ok = is_e[ar, y] & (t[y, ar] == e)
+    # the first y with x*y = e, if there is one
+    y = np.concatenate([(block == e).argmax(axis=1) for block in _blocks(t)])
+    ok = (t[ar, y] == e) & (t[y, ar] == e)
     if not ok.all():
         raise NoInverse(int(np.argmin(ok)))
 
@@ -464,7 +482,12 @@ def from_cayley_table(
         old_order = np.r_[e, 0:e, e + 1 : n]
         new_of_old = np.empty(n, dtype=np.int16)
         new_of_old[old_order] = ar
-        t = new_of_old[t[np.ix_(old_order, old_order)]]
+        # new row i > 0 is old row old_order[i] <= i, so filled from the last
+        # block down no row is overwritten before it is read; new row 0 is ar
+        for r in reversed(range(0, n, _BLOCK_ROWS)):
+            rows = old_order[r : r + _BLOCK_ROWS]
+            t[r : r + len(rows)] = new_of_old[t[rows][:, old_order]]
+        t[0] = ar
         y = new_of_old[y[old_order]]
         if names is not None:
             names = [names[old] for old in old_order.tolist()]
@@ -524,18 +547,24 @@ def _light_test(t: np.ndarray, e: int) -> bool:
             fresh[t[np.ix_(frontier, gens)]] = True
             frontier = np.flatnonzero(fresh & ~reached)
             reached[frontier] = True
-    # (x*s)*y against x*(s*y), over all x, y
-    return all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens)
+    # (x*s)*y against x*(s*y), for a block of x and all y at a time
+    return all(np.array_equal(t[b[:, s]], b[:, t[s]]) for b in _blocks(t) for s in gens)
+
+
+def _blocks(t: np.ndarray) -> Iterator[np.ndarray]:
+    return (t[r : r + _BLOCK_ROWS] for r in range(0, len(t), _BLOCK_ROWS))
 
 
 def _cubic_associativity(t: np.ndarray) -> None:
     """Raise NotAssociative for the first failing triple (a, b, c), a-major."""
-    for a in range(len(t)):
-        left = t[t[a]]       # (a*b)*c over all b, c
-        right = t[a][t]      # a*(b*c)
-        if not np.array_equal(left, right):
-            b, c = map(int, np.argwhere(left != right)[0])
-            raise NotAssociative(a, b, c)
+    n = len(t)
+    for a in range(n):
+        for r in range(0, n, _BLOCK_ROWS):
+            left = t[t[a, r : r + _BLOCK_ROWS]]  # (a*b)*c over a block of b, all c
+            right = t[a][t[r : r + _BLOCK_ROWS]]  # a*(b*c)
+            if not np.array_equal(left, right):
+                b, c = map(int, np.argwhere(left != right)[0])
+                raise NotAssociative(a, r + b, c)
 
 
 def cayley_rows(group: FiniteGroup) -> List[List[int]]:
@@ -588,52 +617,87 @@ def load_gens(path: str) -> Tuple[int, List[Permutation]]:
 def load_cayley(path: str) -> List[List[int]]:
     """Read a .cayley file: first line the order n, then n rows of n indices.
 
-    The rows come back as lists of Python ints; _read_cayley gives a
-    well-formed file's table as one int32 array instead, which
-    from_cayley_table narrows to the group's int16 table.
+    The rows come back as lists of the Python ints int() reads, entries
+    outside 0..n-1 too; file: specs read the table with _read_cayley.
     """
-    table = _read_cayley(path)
-    return table.tolist() if isinstance(table, np.ndarray) else table
+    blocks = _cayley_blocks(path)
+    next(blocks)  # the order
+    return [row for block in blocks for row in block.tolist()]
 
 
-def _read_cayley(path: str) -> np.ndarray | List[List[int]]:
-    """The table of a .cayley file, for from_cayley_table.
+class _TableFault(ValueError):
+    """A .cayley file of order n that is no int16 table: an entry outside 0..n-1,
+    or n past TABLE_ORDER_LIMIT. It carries n, so a build names the order cap first."""
 
-    A well-formed table is parsed in one numpy call and returned as that
-    int32 array, with no Python list per row; anything irregular takes the
-    per-line loop, which names the first bad line and returns lists of
-    Python ints (entries past int32 among them).
-    """
+    def __init__(self, order: int, message: str):
+        super().__init__(message)
+        self.order = order
+
+
+def _read_cayley(path: str) -> np.ndarray:
+    """A .cayley file's table as one int16 array, parsed into it a block of rows at
+    a time; after the file's own faults, _TableFault names an entry outside 0..n-1."""
+    blocks = _cayley_blocks(path)
+    n = next(blocks)
+    i, fault = 0, None
+    if not 0 < n <= TABLE_ORDER_LIMIT:  # read on for the file's faults, with no table
+        fault = f"{path}: order {n} is past the int16 limit {TABLE_ORDER_LIMIT}"
+    table = np.empty((n, n) if fault is None else (0, 0), dtype=np.int16)
+    for block in blocks:
+        if fault is None:
+            bad = np.flatnonzero((block < 0) | (block >= n))
+            if bad.size:
+                r, c = divmod(int(bad[0]), n)
+                fault = f"row {i + r} contains entry {int(block[r, c])} outside 0..{n - 1}"
+            else:
+                table[i : i + len(block)] = block
+        i += len(block)
+    if fault is not None:
+        raise _TableFault(n, fault)
+    return table
+
+
+def _cayley_blocks(path: str) -> Iterator:
+    """The order n on a .cayley file's first line, then its rows as 2-d blocks: an
+    int16 array where numpy parses a block, else a one-row object array of the
+    ints int() reads per line. Once the whole file is read, ValueError names a
+    wrong row count, or else the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"{path}: first line must be the order, got {lines[0]!r}") from None
-    if n < 1 or len(lines) != n + 1:
-        raise ValueError(f"{path}: expected {n} table rows, found {len(lines) - 1}")
-    try:
-        # accepts a subset of what int() does (no '_' separators, no non-ASCII
-        # digits, no values past int32), with the same values
-        table = np.loadtxt(lines[1:], dtype=np.int32, ndmin=2)
-    except ValueError:
-        table = None
-    if table is not None and table.shape == (n, n):
-        return table
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
+        lines = filter(None, (ln.split("#", 1)[0].strip() for ln in fh))
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file")
         try:
-            row = [int(p) for p in parts]
+            n = int(first)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-integer table entry") from None
-        if len(row) != n:
-            raise ValueError(f"{path}:{lineno}: expected {n} entries, found {len(row)}")
-        rows.append(row)
-    return rows
+            raise ValueError(f"{path}: first line must be the order, got {first!r}") from None
+        yield n
+        found, fault = 0, None
+        while block := list(islice(lines, _BLOCK_ROWS)):
+            lineno, found = found + 2, found + len(block)  # numbering kept lines only
+            if fault is not None or found > n:
+                continue
+            try:
+                rows = np.loadtxt(block, dtype=np.int16, ndmin=2)
+            except ValueError:
+                rows = None
+            if rows is not None and rows.shape == (len(block), n):
+                yield rows
+                continue
+            for lineno, ln in enumerate(block, start=lineno):
+                try:
+                    row = [int(p) for p in ln.split()]
+                except ValueError:
+                    fault = f"{path}:{lineno}: non-integer table entry"
+                    break
+                if len(row) != n:
+                    fault = f"{path}:{lineno}: expected {n} entries, found {len(row)}"
+                    break
+                yield np.array([row], dtype=object)
+    if n < 1 or found != n:
+        raise ValueError(f"{path}: expected {n} table rows, found {found}")
+    if fault is not None:
+        raise ValueError(fault)
 
 
 def save_cayley(group: FiniteGroup, path: str) -> None:

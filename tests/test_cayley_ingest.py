@@ -1,6 +1,6 @@
-"""A .cayley file becomes one int32 table with no Python list per row.
+"""A .cayley file becomes one int16 table with no Python list per row.
 
-from_cayley_table takes _read_cayley's array as it is; its groups must
+from_cayley_table takes a copy of _read_cayley's array; its groups must
 equal those built from load_cayley's lists, on files whose identity sits
 off index 0. The CLI's messages for malformed files are pinned byte for
 byte (recorded before the reader returned arrays), and the traced peak of
@@ -51,7 +51,7 @@ def test_array_and_lists_give_the_same_group(tmp_path, spec, seed):
     table = relabeled(build_group(spec).np_table(), seed)
     path = write_table(tmp_path / "g.cayley", table)
     arr = _read_cayley(path)
-    assert isinstance(arr, np.ndarray) and arr.dtype == np.int32
+    assert isinstance(arr, np.ndarray) and arr.dtype == np.int16
     assert np.array_equal(arr, table)
     from_arr = from_cayley_table(arr, spec)
     from_lists = from_cayley_table(load_cayley(path), spec)
@@ -65,7 +65,7 @@ def test_array_and_lists_give_the_same_group(tmp_path, spec, seed):
 
 def test_irregular_files_keep_python_ints(tmp_path):
     path = write_table(tmp_path / "big.cayley", np.array([[0, 1], [1, 2**31]]))
-    rows = _read_cayley(path)
+    rows = load_cayley(path)
     assert rows == [[0, 1], [1, 2**31]] and type(rows[1][1]) is int
 
 
