@@ -715,7 +715,10 @@ def minimal_normal_subgroups(group: FiniteGroup) -> List[ElementSet]:
 def quotient(group: FiniteGroup, n: ElementSet) -> QuotientMap:
     """G/N for a normal subgroup N, cosets ordered by least member.
 
-    The identity coset is N itself and lands at index 0.
+    The identity coset is N itself and lands at index 0. G/N takes its
+    inverses and generators from G's: the inverse of coset xN is x^-1 N,
+    and the distinct nonidentity cosets of G's generators generate G/N.
+    G/{e} is its own group on G's table, shared with no copy.
     """
     if n.group is not group:
         raise GroupMismatch(f"subgroup of {n.group_id!r} used with {group.group_id!r}")
@@ -723,24 +726,31 @@ def quotient(group: FiniteGroup, n: ElementSet) -> QuotientMap:
         raise NotNormal(f"not a normal subgroup of {group.group_id!r}: {sorted(n)}")
     t = group.np_table()
     members = np.flatnonzero(_member_array(n))
-    least = np.full(group.order, group.order)  # least member of each coset xN
-    for s0 in range(0, len(members), _BLOCK_ROWS):
-        np.minimum(least, t[:, members[s0 : s0 + _BLOCK_ROWS]].min(axis=1), out=least)
-    reps = np.flatnonzero(least == np.arange(group.order))
-    coset_id = np.empty(group.order, dtype=np.int16)
-    coset_id[reps] = np.arange(len(reps))
-    coset_id = coset_id[least]
-    qtable = coset_id[t[np.ix_(reps, reps)]]
-    reps = reps.tolist()
-    names = [f"[{group.name_of(r)}]" for r in reps]
+    if len(members) == 1:
+        reps = coset_id = np.arange(group.order, dtype=np.int16)
+    else:
+        least = np.full(group.order, group.order)  # least member of each coset xN
+        for s0 in range(0, len(members), _BLOCK_ROWS):
+            np.minimum(least, t[:, members[s0 : s0 + _BLOCK_ROWS]].min(axis=1), out=least)
+        reps = np.flatnonzero(least == np.arange(group.order))
+        coset_id = np.empty(group.order, dtype=np.int16)
+        coset_id[reps] = np.arange(len(reps))
+        coset_id = coset_id[least]
+    inverse = coset_id[np.asarray(group.inverse_table)[reps]]
+    gens = tuple(dict.fromkeys(c for c in coset_id[list(group.generator_indices)].tolist() if c))
+    names = [f"[{group.name_of(r)}]" for r in reps.tolist()]
     smallest = int(members[1]) if len(members) > 1 else 0
     qid = f"{group.group_id}/N{len(members)}m{smallest}"
-    q = FiniteGroup(qtable, qid, element_names=names)
+    if len(members) == 1:
+        q = FiniteGroup._on_table_of(group, qid, names, gens, inverse)
+    else:
+        qtable = coset_id[t[np.ix_(reps, reps)]]
+        q = FiniteGroup(qtable, qid, element_names=names, generator_indices=gens, inverse_table=inverse)
     return QuotientMap(source=group, quotient=q, projection=tuple(coset_id.tolist()), kernel=n)
 
 
 def _quotient_classes(group: FiniteGroup, n: ElementSet) -> Tuple[np.ndarray, np.ndarray]:
-    """The class in G/N of every element of G, and the eta matrix of G/N.
+    """The class in G/N of every element of G, as int16, and the eta matrix of G/N.
 
     Only these arrays are kept, for the last N asked; G/N itself is freed
     on return, before any other quotient is built.
@@ -748,7 +758,7 @@ def _quotient_classes(group: FiniteGroup, n: ElementSet) -> Tuple[np.ndarray, np
     memo = group._cache.get("last_quotient")  # (kernel mask, classes, eta): one entry
     if memo is None or memo[0] != n.mask or n.group is not group:
         qm = quotient(group, n)
-        classes = class_id_array(qm.quotient)[np.asarray(qm.projection)]
+        classes = class_id_array(qm.quotient).astype(np.int16)[np.asarray(qm.projection)]
         memo = group._cache["last_quotient"] = (n.mask, classes, class_eta_matrix(qm.quotient))
     return memo[1], memo[2]
 

@@ -57,7 +57,7 @@ def max_order_cap(max_order: Optional[int] = None) -> int:
 
 
 def _narrow(arr: np.ndarray, n: int) -> np.ndarray:
-    """A fresh int16 copy of an n x n array whose entries are checked to lie in 0..n-1.
+    """A fresh C-order int16 copy of an n x n array whose entries are checked to lie in 0..n-1.
 
     The check comes first, since astype wraps out-of-range values without a
     word; ValueError names the first bad entry as a plain int.
@@ -65,7 +65,7 @@ def _narrow(arr: np.ndarray, n: int) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= n:
         i, j = divmod(int(np.argmax((arr < 0) | (arr >= n))), n)
         raise ValueError(f"row {i} contains entry {int(arr[i, j])!r} outside 0..{n - 1}")
-    return arr.astype(np.int16)
+    return arr.astype(np.int16, order="C")
 
 
 def _adopt_table(table, group_id: str) -> np.ndarray:
@@ -155,9 +155,34 @@ class FiniteGroup:
             if not found.all():
                 raise NoInverse(int(np.argmin(found)))
             inverse_table = inverse.tolist()
+        else:
+            inverse_table = _checked_inverses(t, inverse_table, group_id)
         self._describe(n, group_id, element_names, named_elements, generator_indices, inverse_table)
         self.factors: Tuple[FiniteGroup, ...] = ()
         self._set_table(t)
+
+    @classmethod
+    def _on_table_of(
+        cls,
+        owner: "FiniteGroup",
+        group_id: str,
+        element_names: Optional[List[str]],
+        generator_indices: Tuple[int, ...],
+        inverse_table: Sequence[int],
+    ) -> "FiniteGroup":
+        """A group on owner's frozen table and row views, shared with no copy.
+
+        Only a table another group already owns frozen comes in here, never
+        a caller's array, so nothing can write to it. The new group has its
+        own caches; its inverses are checked against the table.
+        """
+        t = owner.np_table()
+        group = cls.__new__(cls)
+        inverse_table = _checked_inverses(t, inverse_table, group_id)
+        group._describe(owner.order, group_id, element_names, None, generator_indices, inverse_table)
+        group.factors = ()
+        group._np_table, group.table = t, owner.table
+        return group
 
     @classmethod
     def from_factors(
@@ -291,6 +316,23 @@ def _check_limit(n: int, group_id: str) -> None:
         raise OrderExceeded(
             f"table of {group_id!r} has order {n}, over the int16 limit {TABLE_ORDER_LIMIT}"
         )
+
+
+def _checked_inverses(t: np.ndarray, inverse_table: Sequence[int], group_id: str) -> List[int]:
+    """inverse_table as a list of ints, checked in O(n) to hold, for every a, an
+    x in 0..n-1 with a*x = e; NoInverse names the first a whose entry fails."""
+    n = len(t)
+    inverse = np.asarray(inverse_table)
+    if inverse.shape != (n,) or inverse.dtype.kind not in "iu":
+        raise ValueError(
+            f"expected {n} integer inverses for {group_id!r}, got shape {inverse.shape}"
+            f" of dtype {inverse.dtype}"
+        )
+    ok = (inverse >= 0) & (inverse < n)
+    ok[ok] = t[np.flatnonzero(ok), inverse[ok]] == 0
+    if not ok.all():
+        raise NoInverse(int(np.argmin(ok)))
+    return inverse.tolist()
 
 
 class Element:
@@ -497,21 +539,20 @@ def _group_of_table(
 def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
     """rows as a fresh n x n int16 array; ValueError names the first bad row or entry.
 
-    An n x n integer table, list or array, is checked in whole-table numpy
-    (an array as it is, with no copy), which names its first entry out of
-    range as a plain int, and then narrowed in one copy. Anything else
-    (ragged rows, bools, floats, ints past int64) takes the per-entry loop,
-    which decides exactly which rows and entries are accepted.
+    An n x n integer array is checked as it is and narrowed in one copy; any
+    other rows are narrowed into the table _BLOCK_ROWS at a time, so no wider
+    whole-table array is made. Either way the first entry out of range is
+    named as a plain int. Anything else (ragged rows, bools, floats, ints
+    past int64, in any block) takes the per-entry loop, which decides
+    exactly which rows and entries are accepted.
     """
     if isinstance(rows, np.ndarray):
-        arr = rows
+        if rows.shape == (n, n) and rows.dtype.kind in "iu":
+            return _narrow(rows, n)
     else:
-        try:
-            arr = np.array(rows)
-        except (ValueError, TypeError, OverflowError):
-            arr = None
-    if arr is not None and arr.shape == (n, n) and arr.dtype.kind in "iu":
-        return _narrow(arr, n)
+        table = _narrow_rows(rows, n)
+        if table is not None:
+            return table
     table = [list(r) for r in rows]
     for i, row in enumerate(table):
         if len(row) != n:
@@ -520,6 +561,32 @@ def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValueError(f"row {i} contains entry {v!r} outside 0..{n - 1}")
     return np.asarray(table, dtype=np.int16)
+
+
+def _narrow_rows(rows: Sequence[Sequence[int]], n: int) -> Optional[np.ndarray]:
+    """n rows of n ints as an int16 table, one block of rows at a time, or None
+    as soon as a block is no integer array of that shape. The first entry
+    outside 0..n-1 is named only once every block has passed, since a later
+    block that fails sends the whole table to the per-entry loop instead."""
+    table = np.empty((n, n), dtype=np.int16)
+    it, fault = iter(rows), None
+    for r in range(0, n, _BLOCK_ROWS):
+        try:
+            block = np.array(list(islice(it, _BLOCK_ROWS)))
+        except (ValueError, TypeError, OverflowError):
+            return None
+        if block.shape != (min(_BLOCK_ROWS, n - r), n) or block.dtype.kind not in "iu":
+            return None
+        if fault is None:
+            bad = (block < 0) | (block >= n)
+            if bad.any():
+                i, j = divmod(int(np.argmax(bad)), n)
+                fault = f"row {r + i} contains entry {int(block[i, j])!r} outside 0..{n - 1}"
+            else:
+                table[r : r + len(block)] = block
+    if fault is not None:
+        raise ValueError(fault)
+    return table
 
 
 def _light_test(t: np.ndarray, e: int) -> bool:

@@ -233,8 +233,8 @@ def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> L
 
 def _scan_one(args: Tuple[str, bool, int], group: Optional[FiniteGroup] = None) -> List[ScanRow]:
     spec_text, require_equal, cap = args
-    if group is None:
-        group = build_group(spec_text, max_order=cap)
+    if group is None:  # built afresh, not through build_group's cache, so freed after its scan
+        group = GroupSpec.parse(spec_text).build(max_order=cap)
     return scan_group(group, require_equal)
 
 

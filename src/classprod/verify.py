@@ -504,16 +504,16 @@ def _quotient_eta_report(group: FiniteGroup, kernels: Iterable[ElementSet],
     inequality hold by construction. Witnesses come quotient by quotient,
     pair by pair, the eta witness before the disjointness one.
     """
-    cid = class_id_array(group)
-    eta_parent = class_eta_matrix(group)[cid[a], cid[b]]
-    same_class = cid[a] == cid[b]
+    cid = class_id_array(group).astype(np.int16)
+    ca, cb = cid[a], cid[b]
+    eta_parent = class_eta_matrix(group)[ca, cb]
+    same_class = ca == cb
     out = _Tally()
     for n in kernels:
         out.checked += len(a)
         qcid, qeta = _quotient_classes(group, n)
         qa, qb = qcid[a], qcid[b]
-        eta_quot = qeta[qa, qb]
-        rises = eta_quot > eta_parent
+        rises = qeta[qa, qb] > eta_parent
         disjoint = qa != qb
         split = disjoint & same_class  # disjoint downstairs but not upstairs
         if disjoint.any():
@@ -528,7 +528,7 @@ def _quotient_eta_report(group: FiniteGroup, kernels: Iterable[ElementSet],
                         "b": bi,
                         "kernel": kernel,
                         "eta_parent": int(eta_parent[p]),
-                        "eta_quotient": int(eta_quot[p]),
+                        "eta_quotient": int(qeta[qa[p], qb[p]]),
                     }
                 )
             if split[p]:

@@ -160,6 +160,30 @@ class TestTableValidation:
         assert cayley_rows(again) == cayley_rows(g)
 
 
+class TestGivenInverses:
+    """An inverse_table handed to FiniteGroup is checked against its table."""
+
+    Z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+
+    def test_right_inverses_are_kept(self):
+        g = FiniteGroup(self.Z4, "z4", inverse_table=[0, 3, 2, 1])
+        assert g.inverse_table == [0, 3, 2, 1]
+
+    @pytest.mark.parametrize(
+        "inverses, bad",
+        [([0, 1, 2, 3], 1), ([0, 3, 2, 7], 3), ([0, 3, -2, 1], 2), ([1, 3, 2, 1], 0)],
+    )
+    def test_wrong_inverses_name_the_first_bad_index(self, inverses, bad):
+        with pytest.raises(NoInverse) as info:
+            FiniteGroup(self.Z4, "z4", inverse_table=inverses)
+        assert info.value.witness == bad
+
+    @pytest.mark.parametrize("inverses", [[0, 3, 2], [0, 3, 2, 1, 0], [0.0, 3.0, 2.0, 1.0]])
+    def test_inverse_tables_of_the_wrong_shape_or_type(self, inverses):
+        with pytest.raises(ValueError, match="expected 4 integer inverses"):
+            FiniteGroup(self.Z4, "z4", inverse_table=inverses)
+
+
 class TestElementOps:
     def test_mul_inv_identity(self, groups):
         g = groups["sym:4"]

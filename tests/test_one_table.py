@@ -40,6 +40,15 @@ class TestReadOnly:
             assert np.shares_memory(row, t)
             assert np.array_equal(row, t[a])
 
+    @pytest.mark.parametrize("make", [FiniteGroup, from_cayley_table])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_fortran_order_input_becomes_one_c_order_table(self, make, dtype):
+        src = build_group("sym:4").np_table()
+        g = make(np.asfortranarray(src, dtype=dtype), "s4-f")
+        t = g.np_table()
+        assert t.flags.c_contiguous and np.array_equal(t, src)
+        assert all(np.shares_memory(np.asarray(g.table[a]), t) for a in range(g.order))
+
 
 class TestInputsAreNotShared:
     def test_list_changed_after_construction(self, groups):
