@@ -18,8 +18,6 @@ from .errors import EvenN, NotOddPrime, OrderExceeded
 from .group import (
     Element,
     FiniteGroup,
-    _TableFault,
-    _check_cap,
     _group_of_table,
     _read_cayley,
     close_from_generators,
@@ -415,13 +413,7 @@ class GroupSpec:
 def _build_from_file(path: str, group_id: str, max_order: Optional[int]) -> FiniteGroup:
     if path.endswith(".cayley"):
         # from_cayley_table's checks in its order, on the reader's table without a copy
-        try:
-            table = _read_cayley(path)
-        except _TableFault as fault:
-            _check_cap(fault.order, max_order)
-            raise
-        _check_cap(len(table), max_order)
-        return _group_of_table(table, group_id)
+        return _group_of_table(_read_cayley(path, max_order), group_id)
     if path.endswith(".gens"):
         _, gens = load_gens(path)
         return close_from_generators(gens, group_id, max_order=max_order)

@@ -56,16 +56,31 @@ def max_order_cap(max_order: Optional[int] = None) -> int:
     return cap
 
 
-def _narrow(arr: np.ndarray, n: int) -> np.ndarray:
-    """A fresh C-order int16 copy of an n x n array whose entries are checked to lie in 0..n-1.
+_BLOCK_ROWS = 64  # rows per block of every raw table's fill and of table validation
 
-    The check comes first, since astype wraps out-of-range values without a
-    word; ValueError names the first bad entry as a plain int.
-    """
-    if arr.min() < 0 or arr.max() >= n:
-        i, j = divmod(int(np.argmax((arr < 0) | (arr >= n))), n)
-        raise ValueError(f"row {i} contains entry {int(arr[i, j])!r} outside 0..{n - 1}")
-    return arr.astype(np.int16, order="C")
+
+def _blocks(t: np.ndarray) -> Iterator[np.ndarray]:
+    return (t[r : r + _BLOCK_ROWS] for r in range(0, len(t), _BLOCK_ROWS))
+
+
+def _fill(blocks: Iterator[np.ndarray], n: int) -> np.ndarray:
+    """A fresh C-order int16 n x n table of blocks of rows, each checked to lie in
+    0..n-1 before the cast, which would wrap it; ValueError names the first bad
+    entry as a plain int once every block is read, so a later block may fail first."""
+    table = np.empty((n, n), dtype=np.int16)
+    i, fault = 0, None
+    for block in blocks:
+        if fault is None:
+            bad = (block < 0) | (block >= n)
+            if bad.any():
+                r, c = divmod(int(np.argmax(bad)), n)
+                fault = f"row {i + r} contains entry {int(block[r, c])!r} outside 0..{n - 1}"
+            else:
+                table[i : i + len(block)] = block
+        i += len(block)
+    if fault is not None:
+        raise ValueError(fault)
+    return table
 
 
 def _adopt_table(table, group_id: str) -> np.ndarray:
@@ -91,7 +106,7 @@ def _adopt_table(table, group_id: str) -> np.ndarray:
     # one pass over an owned table: a negative entry reads as 32768 or more here
     if owned and arr.view(np.uint16).max() < n:
         return arr
-    return _narrow(arr, n)
+    return _fill(_blocks(arr), n)
 
 
 class FiniteGroup:
@@ -105,13 +120,15 @@ class FiniteGroup:
     the entries of the table, the identity row and column and the inverses,
     but not associativity: class data of a table that is no group is
     meaningless, so untrusted tables belong in from_cayley_table, which
-    checks everything. Elements are ordered by
-    construction: breadth-first discovery order for generator input,
-    canonicalized table order (identity moved to the front) for raw table
-    input. Instances are treated as immutable; derived data such as
-    conjugacy classes is cached on first use under _cache, which classalg
-    alone fills, with ints, bools, numpy arrays and containers of those
-    only, so that no cached value refers back to a group.
+    checks everything. With no inverse_table, a's inverse is the first x
+    with a*x = e, searched a block of rows at a time; either way NoInverse
+    names the first a without one. Elements are ordered by construction:
+    breadth-first discovery order for generator input, canonicalized table
+    order (identity moved to the front) for raw table input. Instances are
+    treated as immutable; derived data such as conjugacy classes is cached
+    on first use under _cache, which classalg alone fills, with ints,
+    bools, numpy arrays and containers of those only, so that no cached
+    value refers back to a group.
     """
 
     identity_index = 0
@@ -149,14 +166,8 @@ class FiniteGroup:
         if not np.array_equal(t[:, 0], ar):
             raise NoIdentity(f"column 0 of {group_id!r} is not the identity column")
         if inverse_table is None:
-            is_e = t == 0
-            inverse = is_e.argmax(axis=1)  # the first x with a*x = e, if there is one
-            found = is_e[ar, inverse]
-            if not found.all():
-                raise NoInverse(int(np.argmin(found)))
-            inverse_table = inverse.tolist()
-        else:
-            inverse_table = _checked_inverses(t, inverse_table, group_id)
+            inverse_table = _right_inverses(t, 0)
+        inverse_table = _checked_inverses(t, inverse_table, group_id)
         self._describe(n, group_id, element_names, named_elements, generator_indices, inverse_table)
         self.factors: Tuple[FiniteGroup, ...] = ()
         self._set_table(t)
@@ -318,6 +329,11 @@ def _check_limit(n: int, group_id: str) -> None:
         )
 
 
+def _right_inverses(t: np.ndarray, e: int) -> np.ndarray:
+    """For each x the first y with x*y = e, or 0 where there is none."""
+    return np.concatenate([(block == e).argmax(axis=1) for block in _blocks(t)])
+
+
 def _checked_inverses(t: np.ndarray, inverse_table: Sequence[int], group_id: str) -> List[int]:
     """inverse_table as a list of ints, checked in O(n) to hold, for every a, an
     x in 0..n-1 with a*x = e; NoInverse names the first a whose entry fails."""
@@ -465,9 +481,6 @@ def close_from_generators(
 
 # -- construction from a raw table --------------------------------------
 
-_BLOCK_ROWS = 64  # rows per block of the .cayley reader and of table validation
-
-
 def _check_cap(n: int, max_order: Optional[int]) -> None:
     """Raise OrderExceeded when a raw table of order n is over the order cap."""
     cap = max_order_cap(max_order)
@@ -513,13 +526,14 @@ def _group_of_table(
     if not _light_test(t, e):
         _cubic_associativity(t)  # undecided: name the first failing triple, or pass
 
-    # the first y with x*y = e, if there is one
-    y = np.concatenate([(block == e).argmax(axis=1) for block in _blocks(t)])
+    y = _right_inverses(t, e)
     ok = (t[ar, y] == e) & (t[y, ar] == e)
     if not ok.all():
         raise NoInverse(int(np.argmin(ok)))
 
     names = list(element_names) if element_names is not None else None
+    if names is not None and len(names) != n:  # before the relabeling reads them
+        raise ValueError(f"expected {n} element names, got {len(names)}")
     if e != 0:
         old_order = np.r_[e, 0:e, e + 1 : n]
         new_of_old = np.empty(n, dtype=np.int16)
@@ -539,20 +553,20 @@ def _group_of_table(
 def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
     """rows as a fresh n x n int16 array; ValueError names the first bad row or entry.
 
-    An n x n integer array is checked as it is and narrowed in one copy; any
-    other rows are narrowed into the table _BLOCK_ROWS at a time, so no wider
-    whole-table array is made. Either way the first entry out of range is
-    named as a plain int. Anything else (ragged rows, bools, floats, ints
-    past int64, in any block) takes the per-entry loop, which decides
-    exactly which rows and entries are accepted.
+    An n x n integer array, or rows that numpy reads as n-wide integer blocks,
+    go through _fill a block of rows at a time, so no wider whole-table array
+    is made. Anything else (ragged rows, bools, floats, ints past int64, in
+    any block) takes the per-entry loop, which decides exactly which rows and
+    entries are accepted.
     """
     if isinstance(rows, np.ndarray):
         if rows.shape == (n, n) and rows.dtype.kind in "iu":
-            return _narrow(rows, n)
+            return _fill(_blocks(rows), n)
     else:
-        table = _narrow_rows(rows, n)
-        if table is not None:
-            return table
+        try:
+            return _fill(_int_blocks(rows, n), n)
+        except _NotIntRows:
+            pass
     table = [list(r) for r in rows]
     for i, row in enumerate(table):
         if len(row) != n:
@@ -563,30 +577,22 @@ def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return np.asarray(table, dtype=np.int16)
 
 
-def _narrow_rows(rows: Sequence[Sequence[int]], n: int) -> Optional[np.ndarray]:
-    """n rows of n ints as an int16 table, one block of rows at a time, or None
-    as soon as a block is no integer array of that shape. The first entry
-    outside 0..n-1 is named only once every block has passed, since a later
-    block that fails sends the whole table to the per-entry loop instead."""
-    table = np.empty((n, n), dtype=np.int16)
-    it, fault = iter(rows), None
+class _NotIntRows(Exception):
+    """Raised by _int_blocks at a block of rows that is no integer array of n columns."""
+
+
+def _int_blocks(rows: Sequence[Sequence[int]], n: int) -> Iterator[np.ndarray]:
+    """The n rows as integer arrays of _BLOCK_ROWS rows, or _NotIntRows at the
+    first block that numpy does not read as one of n columns."""
+    it = iter(rows)
     for r in range(0, n, _BLOCK_ROWS):
         try:
             block = np.array(list(islice(it, _BLOCK_ROWS)))
         except (ValueError, TypeError, OverflowError):
-            return None
+            raise _NotIntRows from None
         if block.shape != (min(_BLOCK_ROWS, n - r), n) or block.dtype.kind not in "iu":
-            return None
-        if fault is None:
-            bad = (block < 0) | (block >= n)
-            if bad.any():
-                i, j = divmod(int(np.argmax(bad)), n)
-                fault = f"row {r + i} contains entry {int(block[i, j])!r} outside 0..{n - 1}"
-            else:
-                table[r : r + len(block)] = block
-    if fault is not None:
-        raise ValueError(fault)
-    return table
+            raise _NotIntRows
+        yield block
 
 
 def _light_test(t: np.ndarray, e: int) -> bool:
@@ -616,10 +622,6 @@ def _light_test(t: np.ndarray, e: int) -> bool:
             reached[frontier] = True
     # (x*s)*y against x*(s*y), for a block of x and all y at a time
     return all(np.array_equal(t[b[:, s]], b[:, t[s]]) for b in _blocks(t) for s in gens)
-
-
-def _blocks(t: np.ndarray) -> Iterator[np.ndarray]:
-    return (t[r : r + _BLOCK_ROWS] for r in range(0, len(t), _BLOCK_ROWS))
 
 
 def _cubic_associativity(t: np.ndarray) -> None:
@@ -660,7 +662,7 @@ def load_gens(path: str) -> Tuple[int, List[Permutation]]:
                 if degree is not None:
                     raise ValueError(f"{path}:{lineno}: duplicate degree line")
                 parts = line.split()
-                if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+                if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()) or int(parts[1]) < 1:
                     raise ValueError(f"{path}:{lineno}: malformed degree line {line!r}")
                 degree = int(parts[1])
                 if degree > cap:
@@ -692,36 +694,16 @@ def load_cayley(path: str) -> List[List[int]]:
     return [row for block in blocks for row in block.tolist()]
 
 
-class _TableFault(ValueError):
-    """A .cayley file of order n that is no int16 table: an entry outside 0..n-1,
-    or n past TABLE_ORDER_LIMIT. It carries n, so a build names the order cap first."""
-
-    def __init__(self, order: int, message: str):
-        super().__init__(message)
-        self.order = order
-
-
-def _read_cayley(path: str) -> np.ndarray:
-    """A .cayley file's table as one int16 array, parsed into it a block of rows at
-    a time; after the file's own faults, _TableFault names an entry outside 0..n-1."""
+def _read_cayley(path: str, max_order: Optional[int] = None) -> np.ndarray:
+    """A .cayley file's table, filled a block of rows at a time. Faults come in
+    from_cayley_table's order: the file's own, then the order cap (with no
+    table made), then the first entry outside 0..n-1."""
     blocks = _cayley_blocks(path)
     n = next(blocks)
-    i, fault = 0, None
-    if not 0 < n <= TABLE_ORDER_LIMIT:  # read on for the file's faults, with no table
-        fault = f"{path}: order {n} is past the int16 limit {TABLE_ORDER_LIMIT}"
-    table = np.empty((n, n) if fault is None else (0, 0), dtype=np.int16)
-    for block in blocks:
-        if fault is None:
-            bad = np.flatnonzero((block < 0) | (block >= n))
-            if bad.size:
-                r, c = divmod(int(bad[0]), n)
-                fault = f"row {i + r} contains entry {int(block[r, c])} outside 0..{n - 1}"
-            else:
-                table[i : i + len(block)] = block
-        i += len(block)
-    if fault is not None:
-        raise _TableFault(n, fault)
-    return table
+    if not 0 < n <= max_order_cap(max_order):
+        deque(blocks, maxlen=0)  # the file's own faults, n < 1 among them
+        _check_cap(n, max_order)
+    return _fill(blocks, n)
 
 
 def _cayley_blocks(path: str) -> Iterator:
