@@ -368,33 +368,28 @@ def centralizer(a: Element) -> ElementSet:
     return ElementSet(a.group, _mask_of(_commutes_with(a.group, a.index), a.group.order))
 
 
-def _centralizer_masks(group: FiniteGroup) -> List[int]:
-    """Bit g of masks[a] is set when a*g = g*a, compared a block of rows at a time."""
-    cached = group._cache.get("centralizer_masks")
-    if cached is not None:
-        return cached
-    n = group.order
-    t = group.np_table()
-    masks: List[int] = []
-    for a0 in range(0, n, _BLOCK_ROWS):
-        a1 = a0 + _BLOCK_ROWS  # slices stop at n
-        bits = np.packbits(t[a0:a1] == t[:, a0:a1].T, axis=1, bitorder="little")
-        masks.extend(int.from_bytes(row.tobytes(), "little") for row in bits)
-    group._cache["centralizer_masks"] = masks
-    return masks
+def _centralizer_ids(group: FiniteGroup) -> np.ndarray:
+    """An id for every element's centralizer, equal exactly when the centralizers
+    are and numbered by least member: bit g of a packed row is set when a*g = g*a,
+    compared a block of rows at a time, and the row's bytes are its key."""
+    ids = group._cache.get("centralizer_ids")
+    if ids is None:
+        n, t, seen = group.order, group.np_table(), {}
+        ids = np.empty(n, dtype=np.int64)
+        for a0 in range(0, n, _BLOCK_ROWS):
+            a1 = a0 + _BLOCK_ROWS  # slices stop at n
+            bits = np.packbits(t[a0:a1] == t[:, a0:a1].T, axis=1, bitorder="little")
+            ids[a0:a1] = [seen.setdefault(row.tobytes(), len(seen)) for row in bits]
+        ids.setflags(write=False)
+        group._cache["centralizer_ids"] = ids
+    return ids
 
 
 def centralizer_buckets(group: FiniteGroup) -> Dict[int, Tuple[int, ...]]:
-    """Group elements by their exact centralizer mask."""
-    cached = group._cache.get("centralizer_buckets")
-    if cached is not None:
-        return cached
-    buckets: Dict[int, List[int]] = {}
-    for i, m in enumerate(_centralizer_masks(group)):
-        buckets.setdefault(m, []).append(i)
-    out = {m: tuple(v) for m, v in buckets.items()}
-    group._cache["centralizer_buckets"] = out
-    return out
+    """Group elements by their exact centralizer mask, in order of least members."""
+    ids = _centralizer_ids(group)
+    buckets = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
+    return {centralizer(Element(group, int(m[0]))).mask: tuple(m.tolist()) for m in buckets}
 
 
 def equal_centralizer_arrays(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray]:
@@ -405,10 +400,12 @@ def equal_centralizer_arrays(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray
     condition checked downstream is conjugation-covariant, so (a, b) and
     (a^g, b^g) stand or fall together.
     """
-    buckets, masks = centralizer_buckets(group), _centralizer_masks(group)
-    reps = _class_data(group).reps
-    partners = [buckets[masks[r]] for r in reps.tolist()]
-    return np.repeat(reps, [len(p) for p in partners]), np.concatenate(partners)
+    ids, reps = _centralizer_ids(group), _class_data(group).reps
+    members, counts = np.argsort(ids, kind="stable"), np.bincount(ids)  # id by id, index order within
+    sizes = counts[ids[reps]]
+    # the b of a representative r are the block of members with id ids[r]
+    first = (np.cumsum(counts) - counts)[ids[reps]] - (np.cumsum(sizes) - sizes)
+    return np.repeat(reps, sizes), members[np.arange(sizes.sum()) + np.repeat(first, sizes)]
 
 
 def commutator_set(a: Element) -> ElementSet:

@@ -41,9 +41,18 @@ from .scan import (
     summarize,
     write_jsonl,
 )
-from .verify import STATEMENT_IDS, run_statement
+from .verify import STATEMENT_IDS, _pair_arrays, _theorem_a_criterion, run_statement
 
-_WORD_TOKEN = re.compile(r"g(\d+)(?:\^(-?\d+))?")
+_WORD_TOKEN = re.compile(r"g([0-9]+)(?:\^(-?[0-9]+))?")
+
+
+def _selector_int(digits: str, text: str) -> int:
+    """An integer of the selector text, written in ASCII digits."""
+    try:
+        return int(digits)
+    except ValueError:  # over int()'s limit on digits, so text is long: show its start
+        size = len(digits.lstrip("-"))
+        raise ValueError(f"element selector {text[:40]!r}... has an integer of {size} digits, too many") from None
 
 
 def resolve_element(group: FiniteGroup, text: str) -> Element:
@@ -52,31 +61,32 @@ def resolve_element(group: FiniteGroup, text: str) -> Element:
     Names win over indices ('-1' in q8 is the central involution, not an
     index); whitespace inside names is ignored, so '(1, 0, 0)' works for the
     extraspecial triples. Generator words look like 'g0*g1^2' or 'g0^-1'.
+    Indices and exponents are ASCII digits.
     """
     s = text.strip()
-    if s in group.named_elements:
-        return Element(group, group.named_elements[s])
-    compact = s.replace(" ", "")
-    if compact in group.named_elements:
-        return Element(group, group.named_elements[compact])
-    if group.element_names is not None and s in group.element_names:
-        return Element(group, group.element_names.index(s))
-    if re.fullmatch(r"-?\d+", s):
-        idx = int(s)
+    keys = (s, s.replace(" ", ""))
+    for key in keys:
+        if key in group.named_elements:
+            return Element(group, group.named_elements[key])
+    for key in keys:
+        if key in (group.element_names or ()):
+            return Element(group, group.element_names.index(key))
+    if re.fullmatch(r"-?[0-9]+", s):
+        idx = _selector_int(s, text)
         if not 0 <= idx < group.order:
             raise ValueError(f"index {idx} outside 0..{group.order - 1} for {group.group_id}")
         return Element(group, idx)
-    if re.fullmatch(r"g\d+(\^-?\d+)?(\s*\*\s*g\d+(\^-?\d+)?)*", s):
+    if re.fullmatch(r"g[0-9]+(\^-?[0-9]+)?(\s*\*\s*g[0-9]+(\^-?[0-9]+)?)*", s):
         acc = 0
         for token in s.split("*"):
             m = _WORD_TOKEN.fullmatch(token.strip())
             assert m is not None
-            gi = int(m.group(1))
+            gi = _selector_int(m.group(1), text)
             if gi >= len(group.generator_indices):
                 raise ValueError(
                     f"{group.group_id} has {len(group.generator_indices)} generators; g{gi} undefined"
                 )
-            k = int(m.group(2)) if m.group(2) else 1
+            k = _selector_int(m.group(2), text) if m.group(2) else 1
             acc = group.mul(acc, group.power(group.generator_indices[gi], k))
         return Element(group, acc)
     raise ValueError(f"cannot resolve element selector {text!r} in {group.group_id}")
@@ -172,10 +182,8 @@ def cmd_product(args: argparse.Namespace) -> int:
         return 3
     product = class_product(a, b)
     parts = decompose(product)
-    ab = a * b
-    sa, sb, sab = commutator_set(a), commutator_set(b), commutator_set(ab)
-    rhs_match = sa == sb and sb == sab
-    rhs_normal = is_normal(sab)
+    match, normal_ab, _ = _theorem_a_criterion(group, *_pair_arrays(group, a, b))
+    rhs_match, rhs_normal = bool(match[0]), bool(normal_ab[0])
     report = {
         "group_id": group.group_id,
         "a": {"index": a.index, "name": a.name, "class_size": conjugacy_class(a).size},

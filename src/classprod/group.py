@@ -662,11 +662,13 @@ def load_gens(path: str) -> Tuple[int, List[Permutation]]:
                 if degree is not None:
                     raise ValueError(f"{path}:{lineno}: duplicate degree line")
                 parts = line.split()
-                if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()) or int(parts[1]) < 1:
+                digits = parts[-1].lstrip("0")
+                if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()) or not digits:
                     raise ValueError(f"{path}:{lineno}: malformed degree line {line!r}")
-                degree = int(parts[1])
-                if degree > cap:
-                    raise OrderExceeded(f"{path}:{lineno}: degree {degree} is over the cap {cap}")
+                if len(digits) > 20 or int(digits) > cap:  # past 20 digits, int() never reads it
+                    shown = f"at least 10^{len(digits) - 1}" if len(digits) > 20 else digits
+                    raise OrderExceeded(f"{path}:{lineno}: degree {shown} is over the cap {cap}")
+                degree = int(digits)
             elif line.startswith("gen"):
                 if degree is None:
                     raise ValueError(f"{path}:{lineno}: gen line before degree line")

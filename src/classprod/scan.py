@@ -17,19 +17,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classalg import (
+    _centralizer_ids,
+    _class_data,
     class_eta_matrix,
-    commutator_set,
     equal_centralizer_arrays,
     is_nilpotent,
-    is_normal,
     is_prime_power,
     is_simple_nonabelian,
     is_supersolvable,
-    _class_data,
 )
 from .constructions import GroupSpec, build_group
 from .errors import InternalContradiction
-from .group import Element, FiniteGroup, max_order_cap
+from .group import FiniteGroup, max_order_cap
+from .verify import _is_two_power, _theorem_a_criterion
 
 BUILTIN_SPECS: Tuple[str, ...] = (
     "cyclic:1",
@@ -184,51 +184,42 @@ def group_flags(group: FiniteGroup) -> Dict[str, bool]:
     }
 
 
-def _audit_homogeneous(group: FiniteGroup, a: Element, b: Element) -> None:
-    """Recheck the commutator-set criterion on a homogeneous hit.
-
-    With equal centralizers, a homogeneous product forces
-    [a,G] = [b,G] = [ab,G] normal; a hit violating that contradicts the
-    verified equivalence and means the scanner itself is broken.
-    """
-    sa = commutator_set(a)
-    sb = commutator_set(b)
-    sab = commutator_set(a * b)
-    if not (sa == sb and sb == sab and is_normal(sab)):
-        raise InternalContradiction(
-            f"homogeneous pair ({a.index},{b.index}) in {group.group_id} fails the "
-            "commutator-set criterion; scanner and checker disagree"
-        )
-
-
 def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> List[ScanRow]:
     """All homogeneous products in one group, audited, in index order.
 
     The first coordinate runs over class representatives only; every
     predicate involved is conjugation-covariant, so nothing is missed. The
     second runs over elements sharing the representative's centralizer, or
-    over all elements when the flag is off.
+    over all elements when the flag is off. A hit with equal centralizers
+    that fails theorem A's criterion means the scanner itself is broken.
     """
     flags = group_flags(group)
-    data = _class_data(group)
-    pair_a, pair_b = equal_centralizer_arrays(group)
-    equal = np.zeros((len(data.reps), group.order), dtype=bool)  # [class of a, b]
-    equal[data.class_id[pair_a], pair_b] = True
-    hit = (class_eta_matrix(group) == 1)[:, data.class_id]
-    if require_equal_centralizers:
-        hit &= equal
-    i, b = np.nonzero(hit)  # class by class, b in index order
+    data, eta = _class_data(group), class_eta_matrix(group)
+    cid = data.class_id
+    if require_equal_centralizers:  # the pairs first: far fewer than the hits over all b
+        a, b = equal_centralizer_arrays(group)
+        hit = eta[cid[a], cid[b]] == 1
+        a, b = a[hit], b[hit]
+    else:
+        i, b = np.nonzero((eta == 1)[:, cid])  # class by class, b in index order
+        a = data.reps[i]
+    ids = _centralizer_ids(group)
+    equal = ids[a] == ids[b]
+    match, normal_ab, _ = _theorem_a_criterion(group, a[equal], b[equal])
+    bad = np.flatnonzero(equal)[~(match & normal_ab)]
+    if bad.size:
+        raise InternalContradiction(
+            f"homogeneous pair ({a[bad[0]]},{b[bad[0]]}) in {group.group_id} fails the "
+            "commutator-set criterion; scanner and checker disagree"
+        )
     fixed = dict(group_id=group.group_id, group_order=group.order, eta=1, homogeneous=True, flags=flags)
-    rows: List[ScanRow] = []
-    for x, y, audit, size_a, size_b in zip(
-        data.reps[i].tolist(), b.tolist(), equal[i, b].tolist(),
-        data.sizes[i].tolist(), data.sizes[data.class_id[b]].tolist(),
-    ):
-        if audit:
-            _audit_homogeneous(group, Element(group, x), Element(group, y))
-        rows.append(ScanRow(a_rep=x, b_rep=y, a_name=group.name_of(x), b_name=group.name_of(y),
-                            class_size_a=size_a, class_size_b=size_b, **fixed))
-    return rows
+    return [
+        ScanRow(a_rep=x, b_rep=y, a_name=group.name_of(x), b_name=group.name_of(y),
+                class_size_a=size_a, class_size_b=size_b, **fixed)
+        for x, y, size_a, size_b in zip(
+            a.tolist(), b.tolist(), data.sizes[cid[a]].tolist(), data.sizes[cid[b]].tolist()
+        )
+    ]
 
 
 def _scan_one(args: Tuple[str, bool, int], group: Optional[FiniteGroup] = None) -> List[ScanRow]:
@@ -287,13 +278,12 @@ def open_question_scan(catalog: Catalog, workers: int = 1) -> List[ScanRow]:
     rows = scan_homogeneous(catalog, require_equal_centralizers=True, workers=workers)
     hits: List[ScanRow] = []
     for row in rows:
-        size = row.class_size_a
-        if size < 2 or size & (size - 1):
+        if not _is_two_power(row.class_size_a):
             continue
         if row.flags["supersolvable"]:
             raise InternalContradiction(
                 f"2-power homogeneous hit in supersolvable group {row.group_id}: "
-                f"a={row.a_rep}, b={row.b_rep}, |a^G|={size}"
+                f"a={row.a_rep}, b={row.b_rep}, |a^G|={row.class_size_a}"
             )
         hits.append(row)
     return hits

@@ -276,23 +276,24 @@ def check_theorem_a(group: FiniteGroup, a: Element, b: Element) -> VerifierRepor
     return _theorem_a_report(group, *pair)
 
 
-def _theorem_a_sides(group: FiniteGroup, a: np.ndarray,
-                     b: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Both sides of theorem A for every pair (a[p], b[p]), as arrays.
-
-    single: a^G b^G is one class, from the kernel's eta alone. match:
-    [a,G] = [b,G] = [ab,G], by commutator-set ids. normal_ab and normal_a:
-    whether [ab,G] and [a,G] are normal, one is_normal call per distinct set.
-    """
+def _theorem_a_sides(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Both sides of theorem A for every pair (a[p], b[p]), as arrays: single,
+    a^G b^G is one class, from the kernel's eta alone; then _theorem_a_criterion."""
     cid = class_id_array(group)
-    single = class_eta_matrix(group)[cid[a], cid[b]] == 1
+    return (class_eta_matrix(group)[cid[a], cid[b]] == 1, *_theorem_a_criterion(group, a, b))
+
+
+def _theorem_a_criterion(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Theorem A's criterion for every pair (a[p], b[p]), as arrays: match,
+    [a,G] = [b,G] = [ab,G] by commutator-set ids; normal_ab and normal_a,
+    whether [ab,G] and [a,G] are normal, one is_normal call per distinct set."""
     ids, holders = commutator_set_ids(group)
     ia, ib, iab = ids[a], ids[b], ids[group.np_table()[a, b]]
     normal = np.zeros(len(holders), dtype=bool)
     needed = np.bincount(np.concatenate((ia, iab)), minlength=len(holders))
     for s in np.flatnonzero(needed).tolist():
         normal[s] = is_normal(commutator_set(Element(group, holders[s])))
-    return single, (ia == ib) & (ib == iab), normal[iab], normal[ia]
+    return (ia == ib) & (ib == iab), normal[iab], normal[ia]
 
 
 def _theorem_a_report(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> VerifierReport:

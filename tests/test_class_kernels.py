@@ -14,15 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from classprod import build_group, cayley_rows, direct_product, from_cayley_table
 from classprod.classalg import (
-    _centralizer_masks,
+    _centralizer_ids,
     centralizer,
     centralizer_buckets,
     class_id_of,
     commutator_set,
     conjugacy_classes,
+    equal_centralizer_arrays,
 )
 from classprod.group import Element, FiniteGroup
 from classprod.scan import BUILTIN_SPECS
+from classprod.verify import run_statement
 
 import bruteforce as bf
 from conftest import ORACLE_SPECS
@@ -58,6 +60,11 @@ def assert_kernels_match_oracles(g):
     for mask, members in centralizer_buckets(g).items():
         assert all(centralizer(Element(g, a)).mask == mask for a in members)
     assert sorted(a for m in centralizer_buckets(g).values() for a in m) == list(range(g.order))
+    cents = [bf.centralizer(rows, x) for x in range(g.order)]
+    reps = [c.representative.index for c in classes]
+    pairs = [(r, b) for r in reps for b in range(g.order) if cents[b] == cents[r]]
+    a, b = equal_centralizer_arrays(g)
+    assert list(zip(a.tolist(), b.tolist())) == pairs
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -99,8 +106,8 @@ def assert_orbit_kernel_matches(g, classes, centralizers):
     assert [set(c.carrier) for c in conjugacy_classes(g)] == classes
     assert [c.representative.index for c in conjugacy_classes(g)] == [min(c) for c in classes]
     assert [set(centralizer(Element(g, a))) for a in range(g.order)] == centralizers
-    assert "centralizer_masks" not in g._cache  # so those came from two rows each
-    _centralizer_masks(g)
+    assert "centralizer_ids" not in g._cache  # so those came from two rows each
+    _centralizer_ids(g)
     assert [set(centralizer(Element(g, a))) for a in range(g.order)] == centralizers
 
 
@@ -159,3 +166,15 @@ def test_a_table_that_is_no_group_stops_the_orbit_kernel():
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     with pytest.raises(ValueError, match="not a group"):
         conjugacy_classes(FiniteGroup(loop, "loop5", generator_indices=(1, 2)))
+
+
+# -- the equal-centralizer hypothesis as one id array ------------------------
+
+
+def test_theorem_a_keeps_centralizer_ids_not_masks():
+    g = build_group("prod(dihedral:8,dihedral:8,dihedral:8)")
+    run_statement(g, "theorem-a")
+    ids = _centralizer_ids(g)
+    assert ids.shape == (g.order,) and ids.dtype.kind == "i" and not ids.flags.writeable
+    for value in g._cache.values():
+        assert not (isinstance(value, list) and len(value) == g.order and all(type(v) is int for v in value))

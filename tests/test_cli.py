@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from classprod import build_group
 from classprod.cli import main, resolve_element
 
 
@@ -35,6 +36,20 @@ class TestSelectors:
     def test_tuple_name_tolerates_spaces(self, groups):
         g = groups["es:3"]
         assert resolve_element(g, "(1, 0, 0)").index == g.named_elements["(1,0,0)"]
+
+    def test_element_name_tolerates_spaces(self, groups):
+        # es:p^k elements are named by element_names, not named_elements
+        g = build_group("es:3^2")
+        spaced = resolve_element(g, "((1, 0, 0), (0, 0, 0))")
+        assert g.name_of(spaced.index) == "((1,0,0),(0,0,0))"
+        args = ["product", "--group", "es:3^2", "-a", "((1, 0, 0), (0, 0, 0))", "-b", "((2,0,0), (0,0,0))"]
+        assert main(args) == 0
+
+    def test_permutation_names_keep_their_spaces(self, groups, capsys):
+        g = groups["sym:3"]
+        assert g.name_of(resolve_element(g, "(1 2)").index) == "(1 2)"
+        assert main(["product", "--group", "sym:3", "-a", " (1  2)", "-b", "(1 2)"]) == 2
+        assert capsys.readouterr().err == "error: cannot resolve element selector ' (1  2)' in sym:3\n"
 
     def test_garbage_selector(self, groups):
         with pytest.raises(ValueError):

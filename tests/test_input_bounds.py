@@ -1,9 +1,11 @@
-"""Two hostile inputs fail fast with a typed error, a short message and exit 2.
+"""Hostile inputs fail fast with a typed error, a short message and exit 2.
 
 A .gens file may not declare a degree over the order cap: the 25-byte file
 below used to build million-point permutations before any other check. An
 order past 64 bits is named by a power of ten below it, so an order whose
-decimal form passes Python's 4,300-digit str limit never reaches str().
+decimal form passes Python's 4,300-digit str limit never reaches str(); a
+degree or an element selector's integer past the same limit never reaches
+int(). Selector integers are ASCII digits only.
 """
 
 import pytest
@@ -64,3 +66,31 @@ def test_orders_within_64_bits_are_printed_exactly():
         build_group(f"cyclic:{largest}")
     with pytest.raises(OrderExceeded, match=rf"^cyclic:{largest + 1} has order at least 10\^19,"):
         build_group(f"cyclic:{largest + 1}")
+
+
+def test_gens_degree_past_the_str_digit_limit_is_over_the_cap(tmp_path, capsys):
+    path = tmp_path / "huge.gens"
+    path.write_text("degree " + "9" * 5000 + "\ngen (1 2)\n")
+    with pytest.raises(OrderExceeded, match=r":1: degree at least 10\^4999 is over the cap 4096$"):
+        load_gens(str(path))
+    assert main(["build", "--group", f"file:{path}"]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: degree at least 10^4999 is over the cap 4096\n"
+
+
+# -- element selectors: ASCII digits, and no integer past int()'s limit ------
+
+
+@pytest.mark.parametrize(
+    "selector", ["9" * 5000, "g0^" + "9" * 5000, "g" + "9" * 5000, "g0*g1^-" + "9" * 5000],
+    ids=["index", "exponent", "generator", "second-exponent"],
+)
+def test_selector_past_the_str_digit_limit_is_one_line(selector, capsys):
+    assert main(["product", "--group", "q8", "-a", selector, "-b", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: element selector {selector[:40]!r}... has an integer of 5000 digits, too many\n"
+
+
+@pytest.mark.parametrize("selector", ["٣", "g٠", "g0^٢", "-٣"], ids=["index", "generator", "exponent", "negative"])
+def test_selector_digits_are_ascii(selector, capsys):
+    assert main(["product", "--group", "q8", "-a", selector, "-b", "0"]) == 2
+    assert capsys.readouterr().err == f"error: cannot resolve element selector {selector!r} in q8\n"

@@ -1,9 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
 from classprod import (
-    Element,
     InternalContradiction,
     build_group,
     save_cayley,
@@ -15,7 +15,6 @@ from classprod.scan import (
     Catalog,
     CatalogEntry,
     ScanRow,
-    _audit_homogeneous,
     format_summary,
     group_flags,
     ingest,
@@ -89,18 +88,22 @@ class TestFlags:
 
 
 class TestAudit:
-    def test_q8_homogeneity_audit_raises(self, groups):
-        # eta(i^G i^G) = 2 while the commutator set is a normal subgroup:
-        # the audited criterion really does fail on this pair
+    def test_q8_homogeneity_audit_raises(self, groups, monkeypatch):
+        # with every class product reported homogeneous, (i, i) is a hit:
+        # eta(i^G i^G) = 2 and [i,G] = {1,-1} while [i*i,G] = [-1,G] = {1},
+        # so the audited criterion really does fail, first at (i, i)
         g = groups["q8"]
-        i = Element(g, g.named_elements["i"])
-        with pytest.raises(InternalContradiction):
-            _audit_homogeneous(g, i, i)
+        k = len(scan_module._class_data(g).reps)
+        monkeypatch.setattr(scan_module, "class_eta_matrix", lambda group: np.ones((k, k), dtype=np.int32))
+        with pytest.raises(InternalContradiction, match=r"\(1,1\) in q8"):
+            scan_group(g)
+        with pytest.raises(InternalContradiction, match=r"\(1,1\) in q8"):
+            scan_group(g, require_equal_centralizers=False)
 
     def test_audit_passes_on_e27(self, groups):
         g = groups["es:3"]
-        a = Element(g, g.named_elements["(1,0,0)"])
-        _audit_homogeneous(g, a, a)
+        assert scan_group(g)
+        assert len(scan_group(g, require_equal_centralizers=False)) >= len(scan_group(g))
 
 
 class TestCatalogScan:
