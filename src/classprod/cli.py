@@ -31,16 +31,7 @@ from .classalg import (
 from .constructions import build_group, odd_eta1_witness
 from .errors import ClassprodError, HypothesisViolated
 from .group import Element, FiniteGroup, save_cayley
-from .scan import (
-    Catalog,
-    format_summary,
-    ingest,
-    open_question_scan,
-    pool_size,
-    scan_homogeneous,
-    summarize,
-    write_jsonl,
-)
+from .scan import Catalog, _catalog_hits, _Hits, format_summary, ingest, open_question_scan, pool_size
 from .verify import STATEMENT_IDS, _pair_arrays, _theorem_a_criterion, run_statement
 
 _WORD_TOKEN = re.compile(r"g([0-9]+)(?:\^(-?[0-9]+))?")
@@ -278,18 +269,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         catalog = Catalog(entries=[], order_cap=0)
     else:
         catalog = Catalog.builtin()
-    if args.mode == "open-question":
-        rows = open_question_scan(catalog, workers=args.workers)
+    if args.mode == "open-question":  # rows for the 2-power hits only
+        hits = _Hits.of_rows(open_question_scan(catalog, workers=args.workers))
     else:
-        rows = scan_homogeneous(
-            catalog,
-            require_equal_centralizers=not args.all_pairs,
-            workers=args.workers,
-        )
+        hits = _catalog_hits(catalog, require_equal_centralizers=not args.all_pairs, workers=args.workers)
     if args.out:
-        write_jsonl(rows, args.out)
-        print(f"{len(rows)} rows written to {args.out}", file=sys.stderr)
-    summary = summarize(rows, catalog.failures)
+        hits.write(args.out)
+        print(f"{len(hits.a)} rows written to {args.out}", file=sys.stderr)
+    summary = hits.summary(catalog.failures)
     if args.json:
         print(json.dumps(summary, indent=2))
     else:

@@ -8,6 +8,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .errors import InvalidPermutation
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_POINT_RE = re.compile(r"-?[0-9]+")  # ASCII digits only: int() takes any Unicode digit
 
 
 class Permutation:
@@ -65,6 +66,8 @@ class Permutation:
             if not parts:
                 raise InvalidPermutation(f"empty cycle in {text!r}")
             try:
+                if not all(_POINT_RE.fullmatch(p) for p in parts):
+                    raise ValueError
                 cycles.append([int(p) for p in parts])
             except ValueError:
                 raise InvalidPermutation(f"non-integer point in {text!r}") from None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,15 +184,141 @@ def group_flags(group: FiniteGroup) -> Dict[str, bool]:
     }
 
 
-def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> List[ScanRow]:
-    """All homogeneous products in one group, audited, in index order.
+class _Head(NamedTuple):
+    """What a run of rows has in common; flags in _FLAG_NAMES order."""
 
-    The first coordinate runs over class representatives only; every
-    predicate involved is conjugation-covariant, so nothing is missed. The
-    second runs over elements sharing the representative's centralizer, or
-    over all elements when the flag is off. A hit with equal centralizers
-    that fails theorem A's criterion means the scanner itself is broken.
+    group_id: str
+    group_order: int
+    eta: int
+    homogeneous: bool
+    flags: Tuple[bool, ...]
+
+
+_CHUNK_ROWS = 1 << 13  # rows formatted per write
+
+
+class _Hits(NamedTuple):
+    """Scan rows as columns, in one fixed order.
+
+    Row i belongs to heads[head[i]], pairs elements a[i] and b[i], named
+    names[a_name[i]] and names[b_name[i]], of class sizes size_a[i] and
+    size_b[i]. A group's scan makes one head and names only the elements
+    that occur; ScanRow objects are made only by rows().
     """
+
+    heads: List[_Head]
+    names: List[str]
+    head: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    a_name: np.ndarray
+    b_name: np.ndarray
+    size_a: np.ndarray
+    size_b: np.ndarray
+
+    @classmethod
+    def of_rows(cls, rows: Sequence[ScanRow]) -> "_Hits":
+        """The rows as columns, in the order given."""
+        heads: Dict[_Head, int] = {}
+        names: Dict[str, int] = {}
+        cols = [
+            (
+                heads.setdefault(_Head(r.group_id, r.group_order, r.eta, r.homogeneous,
+                                       tuple(r.flags[f] for f in _FLAG_NAMES)), len(heads)),
+                r.a_rep, r.b_rep,
+                names.setdefault(r.a_name, len(names)), names.setdefault(r.b_name, len(names)),
+                r.class_size_a, r.class_size_b,
+            )
+            for r in rows
+        ]
+        return cls(list(heads), list(names), *np.array(cols, dtype=np.int64).reshape(-1, 7).T)
+
+    def take(self, index: np.ndarray) -> "_Hits":
+        return _Hits(self.heads, self.names, *(c[index] for c in self[2:]))
+
+    def rows(self) -> List[ScanRow]:
+        flags = [dict(zip(_FLAG_NAMES, h.flags)) for h in self.heads]
+        heads, names = self.heads, self.names
+        return [
+            ScanRow(heads[h].group_id, heads[h].group_order, a, b, names[x], names[y],
+                    size_a, size_b, heads[h].eta, heads[h].homogeneous, flags[h])
+            for h, a, b, x, y, size_a, size_b in zip(*(c.tolist() for c in self[2:]))
+        ]
+
+    def summary(self, failures: Sequence[dict] = ()) -> dict:
+        """Counts by group, class size, and flag, all deterministically ordered."""
+        by_group: Dict[str, int] = {}
+        by_flag = {name: 0 for name in _FLAG_NAMES}
+        for h, count in zip(self.heads, np.bincount(self.head, minlength=len(self.heads)).tolist()):
+            if count:
+                by_group[h.group_id] = by_group.get(h.group_id, 0) + count
+                for name, on in zip(_FLAG_NAMES, h.flags):
+                    if on:
+                        by_flag[name] += count
+        sizes, counts = np.unique(self.size_a, return_counts=True)
+        return {
+            "total_rows": len(self.a),
+            "by_group": {k: by_group[k] for k in sorted(by_group)},
+            "by_class_size": {str(k): v for k, v in zip(sizes.tolist(), counts.tolist())},
+            "by_flag": by_flag,
+            "ingest_failures": list(failures),
+        }
+
+    def write(self, path: str) -> None:
+        """One JSON line per row, each the row's ScanRow.to_json_line().
+
+        A line is its head's opening, the row's own fields, and its head's
+        closing. Each head's fixed fields and each name are JSON-encoded
+        once, and a run of rows of one head is joined in one call.
+        """
+        dump = lambda value: json.dumps(value, separators=(",", ":"))  # noqa: E731
+        ends = [
+            (
+                f'{{"group_id":{dump(h.group_id)},"group_order":{dump(h.group_order)},"a_rep":',
+                f',"eta":{dump(h.eta)},"homogeneous":{dump(h.homogeneous)},'
+                f'"flags":{dump(dict(zip(_FLAG_NAMES, h.flags)))}}}\n',
+            )
+            for h in self.heads
+        ]
+        fields = '%d,"b_rep":%d,"a_name":%s,"b_name":%s,"class_size_a":%d,"class_size_b":%d'
+        names = np.array([dump(name) for name in self.names], dtype=object)
+        # runs of one head, cut every _CHUNK_ROWS rows
+        cuts = np.flatnonzero(self.head[1:] != self.head[:-1]) + 1
+        edges = np.union1d(cuts, np.arange(0, len(self.a), _CHUNK_ROWS)).tolist() + [len(self.a)]
+        with open(path, "w", encoding="utf-8") as fh:
+            for start, end in zip(edges, edges[1:]):
+                run = slice(start, end)
+                opening, closing = ends[self.head[start]]
+                fh.write(opening + (closing + opening).join(map(fields.__mod__, zip(
+                    self.a[run].tolist(), self.b[run].tolist(),
+                    names[self.a_name[run]].tolist(), names[self.b_name[run]].tolist(),
+                    self.size_a[run].tolist(), self.size_b[run].tolist(),
+                ))) + closing)
+
+
+def _merge(parts: Sequence[_Hits]) -> _Hits:
+    """All parts' rows in canonical (order, id, a, b) order; ties keep part order."""
+    heads: List[_Head] = []
+    names: List[str] = []
+    cols: List[List[np.ndarray]] = [[np.zeros(0, dtype=np.int64)] for _ in range(7)]
+    for p in parts:
+        shift = (len(heads), 0, 0, len(names), len(names), 0, 0)
+        for col, c, k in zip(cols, p[2:], shift):
+            col.append(c + k if k else c)
+        heads += p.heads
+        names += p.names
+    merged = _Hits(heads, names, *map(np.concatenate, cols))
+    keys = sorted({(h.group_order, h.group_id) for h in heads})
+    place = {key: i for i, key in enumerate(keys)}  # one rank for heads of one (order, id)
+    rank = np.array([place[h.group_order, h.group_id] for h in heads], dtype=np.int64)
+    index = np.lexsort((merged.b, merged.a, rank[merged.head]))
+    if np.all(index[1:] > index[:-1]):  # already in order, as one group's rows are
+        return merged
+    return merged.take(index)
+
+
+def _group_hits(group: FiniteGroup, require_equal_centralizers: bool = True) -> _Hits:
+    """scan_group's rows as columns; see there."""
     flags = group_flags(group)
     data, eta = _class_data(group), class_eta_matrix(group)
     cid = data.class_id
@@ -212,21 +338,34 @@ def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> L
             f"homogeneous pair ({a[bad[0]]},{b[bad[0]]}) in {group.group_id} fails the "
             "commutator-set criterion; scanner and checker disagree"
         )
-    fixed = dict(group_id=group.group_id, group_order=group.order, eta=1, homogeneous=True, flags=flags)
-    return [
-        ScanRow(a_rep=x, b_rep=y, a_name=group.name_of(x), b_name=group.name_of(y),
-                class_size_a=size_a, class_size_b=size_b, **fixed)
-        for x, y, size_a, size_b in zip(
-            a.tolist(), b.tolist(), data.sizes[cid[a]].tolist(), data.sizes[cid[b]].tolist()
-        )
-    ]
+    seen = np.zeros(group.order, dtype=bool)
+    seen[a] = seen[b] = True
+    slot = np.cumsum(seen) - 1  # an occurring element's place among the names
+    head = _Head(group.group_id, group.order, 1, True, tuple(flags[f] for f in _FLAG_NAMES))
+    return _Hits(
+        [head], [group.name_of(x) for x in np.flatnonzero(seen).tolist()],
+        np.zeros(len(a), dtype=np.int64), a, b, slot[a], slot[b],
+        data.sizes[cid[a]], data.sizes[cid[b]],
+    )
 
 
-def _scan_one(args: Tuple[str, bool, int], group: Optional[FiniteGroup] = None) -> List[ScanRow]:
+def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> List[ScanRow]:
+    """All homogeneous products in one group, audited, in index order.
+
+    The first coordinate runs over class representatives only; every
+    predicate involved is conjugation-covariant, so nothing is missed. The
+    second runs over elements sharing the representative's centralizer, or
+    over all elements when the flag is off. A hit with equal centralizers
+    that fails theorem A's criterion means the scanner itself is broken.
+    """
+    return _group_hits(group, require_equal_centralizers).rows()
+
+
+def _scan_one(args: Tuple[str, bool, int], group: Optional[FiniteGroup] = None) -> _Hits:
     spec_text, require_equal, cap = args
     if group is None:  # built afresh, not through build_group's cache, so freed after its scan
         group = GroupSpec.parse(spec_text).build(max_order=cap)
-    return scan_group(group, require_equal)
+    return _group_hits(group, require_equal)
 
 
 def pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
@@ -240,6 +379,25 @@ def pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
     return min(workers, tasks, cpus or 1)
 
 
+def _catalog_hits(catalog: Catalog, require_equal_centralizers: bool = True, workers: int = 1) -> _Hits:
+    """scan_homogeneous's rows as columns; see there."""
+    tasks = [(e.spec_text, require_equal_centralizers, catalog.order_cap) for e in catalog.entries]
+    size = pool_size(workers, len(tasks), os.cpu_count())
+    if size > 1:
+        # imported here: it pulls in multiprocessing, socket and subprocess on every run
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            parts = list(pool.map(_scan_one, tasks))
+    else:
+        parts = []
+        for entry, task in zip(catalog.entries, tasks):
+            parts.append(_scan_one(task, entry.group))
+            if entry.group is not None:  # an ingested group keeps its table, not its class data
+                entry.group._cache.clear()
+    return _merge(parts)
+
+
 def scan_homogeneous(
     catalog: Catalog,
     require_equal_centralizers: bool = True,
@@ -249,23 +407,25 @@ def scan_homogeneous(
 
     workers > 1 fans groups out to separate processes, at most one per group
     and per CPU; the merge re-sorts, so the result is identical to a
-    sequential run. A sequential run reuses the groups ingest() built.
+    sequential run. A sequential run reuses the groups ingest() built and
+    clears their caches once each is scanned.
     """
-    tasks = [(e.spec_text, require_equal_centralizers, catalog.order_cap) for e in catalog.entries]
-    size = pool_size(workers, len(tasks), os.cpu_count())
-    rows: List[ScanRow] = []
-    if size > 1:
-        # imported here: it pulls in multiprocessing, socket and subprocess on every run
-        from concurrent.futures import ProcessPoolExecutor
+    return _catalog_hits(catalog, require_equal_centralizers, workers).rows()
 
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            for chunk in pool.map(_scan_one, tasks):
-                rows.extend(chunk)
-    else:
-        for entry, task in zip(catalog.entries, tasks):
-            rows.extend(_scan_one(task, entry.group))
-    rows.sort(key=ScanRow.sort_key)
-    return rows
+
+def _two_power_hits(hits: _Hits) -> _Hits:
+    """open_question_scan's filter and audit, on columns."""
+    keep = _is_two_power(hits.size_a)
+    flag = _FLAG_NAMES.index("supersolvable")
+    supersolvable = np.array([bool(h.flags[flag]) for h in hits.heads], dtype=bool)
+    bad = np.flatnonzero(keep & supersolvable[hits.head])
+    if bad.size:
+        i = bad[0]
+        raise InternalContradiction(
+            f"2-power homogeneous hit in supersolvable group {hits.heads[hits.head[i]].group_id}: "
+            f"a={hits.a[i]}, b={hits.b[i]}, |a^G|={hits.size_a[i]}"
+        )
+    return hits.take(np.flatnonzero(keep))
 
 
 def open_question_scan(catalog: Catalog, workers: int = 1) -> List[ScanRow]:
@@ -275,24 +435,11 @@ def open_question_scan(catalog: Catalog, workers: int = 1) -> List[ScanRow]:
     supersolvable flag is an InternalContradiction, not a discovery. An
     empty result means no counterexample below the order cap, nothing more.
     """
-    rows = scan_homogeneous(catalog, require_equal_centralizers=True, workers=workers)
-    hits: List[ScanRow] = []
-    for row in rows:
-        if not _is_two_power(row.class_size_a):
-            continue
-        if row.flags["supersolvable"]:
-            raise InternalContradiction(
-                f"2-power homogeneous hit in supersolvable group {row.group_id}: "
-                f"a={row.a_rep}, b={row.b_rep}, |a^G|={row.class_size_a}"
-            )
-        hits.append(row)
-    return hits
+    return _two_power_hits(_catalog_hits(catalog, True, workers)).rows()
 
 
 def write_jsonl(rows: Sequence[ScanRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(row.to_json_line() + "\n")
+    _Hits.of_rows(rows).write(path)
 
 
 def read_jsonl(path: str) -> List[ScanRow]:
@@ -307,22 +454,7 @@ def read_jsonl(path: str) -> List[ScanRow]:
 
 def summarize(rows: Sequence[ScanRow], failures: Sequence[dict] = ()) -> dict:
     """Counts by group, class size, and flag, all deterministically ordered."""
-    by_group: Dict[str, int] = {}
-    by_size: Dict[int, int] = {}
-    by_flag = {name: 0 for name in _FLAG_NAMES}
-    for row in rows:
-        by_group[row.group_id] = by_group.get(row.group_id, 0) + 1
-        by_size[row.class_size_a] = by_size.get(row.class_size_a, 0) + 1
-        for name in _FLAG_NAMES:
-            if row.flags[name]:
-                by_flag[name] += 1
-    return {
-        "total_rows": len(rows),
-        "by_group": {k: by_group[k] for k in sorted(by_group)},
-        "by_class_size": {str(k): by_size[k] for k in sorted(by_size)},
-        "by_flag": by_flag,
-        "ingest_failures": list(failures),
-    }
+    return _Hits.of_rows(rows).summary(failures)
 
 
 def format_summary(summary: dict) -> str:

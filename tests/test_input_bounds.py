@@ -5,12 +5,12 @@ below used to build million-point permutations before any other check. An
 order past 64 bits is named by a power of ten below it, so an order whose
 decimal form passes Python's 4,300-digit str limit never reaches str(); a
 degree or an element selector's integer past the same limit never reaches
-int(). Selector integers are ASCII digits only.
+int(). Selector integers and .gens cycle points are ASCII digits only.
 """
 
 import pytest
 
-from classprod import OrderExceeded, build_group
+from classprod import InvalidPermutation, OrderExceeded, build_group
 from classprod.cli import main
 from classprod.group import load_gens
 from classprod.perm import Permutation
@@ -94,3 +94,21 @@ def test_selector_past_the_str_digit_limit_is_one_line(selector, capsys):
 def test_selector_digits_are_ascii(selector, capsys):
     assert main(["product", "--group", "q8", "-a", selector, "-b", "0"]) == 2
     assert capsys.readouterr().err == f"error: cannot resolve element selector {selector!r} in q8\n"
+
+
+# -- cycle points in .gens files: ASCII digits --------------------------------
+
+
+@pytest.mark.parametrize("cycle", ["(١ 2)", "(1 ²)"], ids=["arabic-indic", "superscript"])
+def test_cycle_points_are_ascii_digits(cycle):
+    with pytest.raises(InvalidPermutation) as info:
+        Permutation.parse(3, cycle)
+    assert str(info.value) == f"non-integer point in {cycle!r}"
+
+
+@pytest.mark.parametrize("cycle", ["(١ 2)", "(1 ²)"], ids=["arabic-indic", "superscript"])
+def test_cli_exits_2_on_a_non_ascii_cycle_point(tmp_path, cycle, capsys):
+    path = tmp_path / "x.gens"
+    path.write_text(f"degree 3\ngen {cycle}\n", encoding="utf-8")
+    assert main(["build", "--group", f"file:{path}"]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: non-integer point in {cycle!r}\n"

@@ -139,7 +139,7 @@ class TestCatalogScan:
             flags={"nilpotent": True, "supersolvable": True,
                    "simple_nonabelian": False, "odd_order": False, "p_group": True},
         )
-        monkeypatch.setattr(scan_mod, "scan_homogeneous", lambda *a, **k: [forged])
+        monkeypatch.setattr(scan_mod, "_catalog_hits", lambda *a, **k: scan_mod._Hits.of_rows([forged]))
         with pytest.raises(InternalContradiction):
             open_question_scan(small_catalog("q8"))
 
