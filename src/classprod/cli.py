@@ -31,7 +31,7 @@ from .classalg import (
 from .constructions import build_group, odd_eta1_witness
 from .errors import ClassprodError, HypothesisViolated
 from .group import Element, FiniteGroup, save_cayley
-from .scan import Catalog, _catalog_hits, _Hits, format_summary, ingest, open_question_scan, pool_size
+from .scan import Catalog, _catalog_hits, _two_power_hits, format_summary, ingest, pool_size
 from .verify import STATEMENT_IDS, _pair_arrays, _theorem_a_criterion, run_statement
 
 _WORD_TOKEN = re.compile(r"g([0-9]+)(?:\^(-?[0-9]+))?")
@@ -266,11 +266,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.catalog:
         catalog = ingest(args.catalog, include_builtins=not args.no_builtins)
     elif args.no_builtins:
-        catalog = Catalog(entries=[], order_cap=0)
+        catalog = Catalog(entries=[])
     else:
         catalog = Catalog.builtin()
-    if args.mode == "open-question":  # rows for the 2-power hits only
-        hits = _Hits.of_rows(open_question_scan(catalog, workers=args.workers))
+    if args.mode == "open-question":  # open_question_scan's hits, left as columns
+        hits = _two_power_hits(_catalog_hits(catalog, workers=args.workers))
     else:
         hits = _catalog_hits(catalog, require_equal_centralizers=not args.all_pairs, workers=args.workers)
     if args.out:
@@ -366,10 +366,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except HypothesisViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ClassprodError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ClassprodError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

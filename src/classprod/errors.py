@@ -1,6 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how they quote outside values."""
 
 from __future__ import annotations
+
+
+def _shown(text: str, quote: bool = True) -> str:
+    """A value read from a file or the environment, for an error line: the text (its repr
+    if quote) or, past 40 characters, its first 40 and its length, in digits for an integer."""
+    form = repr if quote else str
+    if len(text) <= 40:
+        return form(text)
+    digits = text[1:] if text[0] in "+-" else text
+    size = f"{len(digits)} digits" if digits.isascii() and digits.isdigit() else f"{len(text)} characters"
+    return f"{form(text[:40])}... ({size})"
 
 
 class ClassprodError(Exception):

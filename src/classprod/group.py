@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from collections import deque
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -22,6 +23,7 @@ from .errors import (
     NoInverse,
     NotAssociative,
     OrderExceeded,
+    _shown,
 )
 from .perm import Permutation
 
@@ -44,14 +46,20 @@ def max_order_cap(max_order: Optional[int] = None) -> int:
         return DEFAULT_MAX_ORDER
     try:
         cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}") from None
+        digits = str(cap)
+    except ValueError:  # not an integer, or one past int()'s limit on digits
+        m = re.fullmatch(r"\s*([+-]?)0*([0-9]+)\s*", raw)
+        if m is None:
+            raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {_shown(raw)}") from None
+        cap = int(m[1] + m[2][:6])  # six digits are out of range exactly when the whole is
+        digits = m[1].lstrip("+") + m[2]
+    shown = _shown(digits, quote=False)
     if cap < 1:
-        raise ValueError(f"{MAX_ORDER_ENV} must be positive, got {cap}")
+        raise ValueError(f"{MAX_ORDER_ENV} must be positive, got {shown}")
     if cap > TABLE_ORDER_LIMIT:
         raise ValueError(
             f"{MAX_ORDER_ENV} must be at most {TABLE_ORDER_LIMIT}, the largest order"
-            f" an int16 table can index, got {cap}"
+            f" an int16 table can index, got {shown}"
         )
     return cap
 
@@ -664,7 +672,7 @@ def load_gens(path: str) -> Tuple[int, List[Permutation]]:
                 parts = line.split()
                 digits = parts[-1].lstrip("0")
                 if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()) or not digits:
-                    raise ValueError(f"{path}:{lineno}: malformed degree line {line!r}")
+                    raise ValueError(f"{path}:{lineno}: malformed degree line {_shown(line)}")
                 if len(digits) > 20 or int(digits) > cap:  # past 20 digits, int() never reads it
                     shown = f"at least 10^{len(digits) - 1}" if len(digits) > 20 else digits
                     raise OrderExceeded(f"{path}:{lineno}: degree {shown} is over the cap {cap}")
@@ -677,7 +685,7 @@ def load_gens(path: str) -> Tuple[int, List[Permutation]]:
                 except InvalidPermutation as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
             else:
-                raise ValueError(f"{path}:{lineno}: unrecognized line {line!r}")
+                raise ValueError(f"{path}:{lineno}: unrecognized line {_shown(line)}")
     if degree is None:
         raise ValueError(f"{path}: missing degree line")
     if not gens:
@@ -721,7 +729,7 @@ def _cayley_blocks(path: str) -> Iterator:
         try:
             n = int(first)
         except ValueError:
-            raise ValueError(f"{path}: first line must be the order, got {first!r}") from None
+            raise ValueError(f"{path}: first line must be the order, got {_shown(first)}") from None
         yield n
         found, fault = 0, None
         while block := list(islice(lines, _BLOCK_ROWS)):
@@ -746,7 +754,7 @@ def _cayley_blocks(path: str) -> Iterator:
                     break
                 yield np.array([row], dtype=object)
     if n < 1 or found != n:
-        raise ValueError(f"{path}: expected {n} table rows, found {found}")
+        raise ValueError(f"{path}: expected {_shown(str(n), quote=False)} table rows, found {found}")
     if fault is not None:
         raise ValueError(fault)
 

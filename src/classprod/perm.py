@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import InvalidPermutation
+from .errors import InvalidPermutation, _shown
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _POINT_RE = re.compile(r"-?[0-9]+")  # ASCII digits only: int() takes any Unicode digit
@@ -43,7 +43,7 @@ class Permutation:
         for cycle in cycles:
             for pt in cycle:
                 if not 1 <= pt <= degree:
-                    raise InvalidPermutation(f"point {pt} outside 1..{degree}")
+                    raise InvalidPermutation(f"point {_shown(str(pt), quote=False)} outside 1..{degree}")
                 if pt in seen:
                     raise InvalidPermutation(f"point {pt} appears twice")
                 seen.add(pt)
@@ -59,18 +59,18 @@ class Permutation:
             return cls.identity(degree)
         leftover = _CYCLE_RE.sub("", body).strip()
         if leftover:
-            raise InvalidPermutation(f"unparsable cycle text {text!r}")
+            raise InvalidPermutation(f"unparsable cycle text {_shown(text)}")
         cycles: List[List[int]] = []
         for match in _CYCLE_RE.finditer(body):
             parts = match.group(1).split()
             if not parts:
-                raise InvalidPermutation(f"empty cycle in {text!r}")
+                raise InvalidPermutation(f"empty cycle in {_shown(text)}")
             try:
                 if not all(_POINT_RE.fullmatch(p) for p in parts):
                     raise ValueError
                 cycles.append([int(p) for p in parts])
             except ValueError:
-                raise InvalidPermutation(f"non-integer point in {text!r}") from None
+                raise InvalidPermutation(f"non-integer point in {_shown(text)}") from None
         return cls.from_cycles(degree, cycles)
 
     def apply(self, point: int) -> int:

@@ -72,57 +72,47 @@ class CatalogEntry:
     # the group ingest() already built and validated; sequential scans reuse it
     group: Optional[FiniteGroup] = field(default=None, compare=False, repr=False)
 
-    @property
-    def canonical(self) -> str:
-        return self.spec.canonical()
-
 
 @dataclass
 class Catalog:
     entries: List[CatalogEntry]
     failures: List[dict] = field(default_factory=list)
-    order_cap: int = 0  # <= 0 means: resolve from the environment
+    order_cap: Optional[int] = None  # None or <= 0 means: resolve from the environment
 
     def __post_init__(self) -> None:
-        if self.order_cap <= 0:
+        if self.order_cap is None or self.order_cap <= 0:
             self.order_cap = max_order_cap()
 
     @classmethod
     def builtin(cls, order_cap: Optional[int] = None) -> "Catalog":
-        cap = max_order_cap() if order_cap is None else order_cap
         entries = [
             CatalogEntry(spec_text=s, spec=GroupSpec.parse(s), source="builtin")
             for s in BUILTIN_SPECS
         ]
-        return cls(entries=entries, order_cap=cap)
+        return cls(entries=entries, order_cap=order_cap)
 
 
 def ingest(directory: str, include_builtins: bool = True, order_cap: Optional[int] = None) -> Catalog:
     """Catalog from a directory of .gens/.cayley files, plus the built-ins.
 
-    Each file is built once up front and its entry keeps the group for a
-    sequential scan; files that fail to parse, violate the group axioms, or
-    exceed the order cap land in catalog.failures instead of aborting the
-    ingest. Entries are deduplicated on canonical spec.
+    Each file is built once up front, under the catalog's order cap, and its
+    entry keeps the group for a sequential scan; files that fail to parse,
+    violate the group axioms, or exceed the order cap land in
+    catalog.failures instead of aborting the ingest.
     """
-    cap = max_order_cap() if order_cap is None else order_cap
-    catalog = Catalog.builtin(order_cap=cap) if include_builtins else Catalog(entries=[], order_cap=cap)
+    catalog = Catalog.builtin(order_cap) if include_builtins else Catalog([], order_cap=order_cap)
     names = sorted(
         f for f in os.listdir(directory) if f.endswith(".gens") or f.endswith(".cayley")
     )
-    seen = {e.canonical for e in catalog.entries}
     for name in names:
         path = os.path.join(directory, name)
         spec_text = f"file:{path}"
         try:
             spec = GroupSpec.parse(spec_text)
-            group = build_group(spec, max_order=cap)
+            group = build_group(spec, max_order=catalog.order_cap)
         except Exception as exc:  # collected, not fatal: bad files are data
             catalog.failures.append({"path": path, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        if spec.canonical() in seen:
-            continue
-        seen.add(spec.canonical())
         catalog.entries.append(
             CatalogEntry(spec_text=spec_text, spec=spec, source=path, group=group)
         )
@@ -297,7 +287,10 @@ class _Hits(NamedTuple):
 
 
 def _merge(parts: Sequence[_Hits]) -> _Hits:
-    """All parts' rows in canonical (order, id, a, b) order; ties keep part order."""
+    """All parts' rows in canonical (order, id, a, b) order; ties keep part order.
+    A lone part, one group's rows and so in order already, is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
     heads: List[_Head] = []
     names: List[str] = []
     cols: List[List[np.ndarray]] = [[np.zeros(0, dtype=np.int64)] for _ in range(7)]
@@ -311,10 +304,7 @@ def _merge(parts: Sequence[_Hits]) -> _Hits:
     keys = sorted({(h.group_order, h.group_id) for h in heads})
     place = {key: i for i, key in enumerate(keys)}  # one rank for heads of one (order, id)
     rank = np.array([place[h.group_order, h.group_id] for h in heads], dtype=np.int64)
-    index = np.lexsort((merged.b, merged.a, rank[merged.head]))
-    if np.all(index[1:] > index[:-1]):  # already in order, as one group's rows are
-        return merged
-    return merged.take(index)
+    return merged.take(np.lexsort((merged.b, merged.a, rank[merged.head])))
 
 
 def _group_hits(group: FiniteGroup, require_equal_centralizers: bool = True) -> _Hits:
@@ -361,10 +351,10 @@ def scan_group(group: FiniteGroup, require_equal_centralizers: bool = True) -> L
     return _group_hits(group, require_equal_centralizers).rows()
 
 
-def _scan_one(args: Tuple[str, bool, int], group: Optional[FiniteGroup] = None) -> _Hits:
-    spec_text, require_equal, cap = args
+def _scan_one(args: Tuple[GroupSpec, bool, int], group: Optional[FiniteGroup] = None) -> _Hits:
+    spec, require_equal, cap = args
     if group is None:  # built afresh, not through build_group's cache, so freed after its scan
-        group = GroupSpec.parse(spec_text).build(max_order=cap)
+        group = spec.build(max_order=cap)
     return _group_hits(group, require_equal)
 
 
@@ -381,7 +371,7 @@ def pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
 
 def _catalog_hits(catalog: Catalog, require_equal_centralizers: bool = True, workers: int = 1) -> _Hits:
     """scan_homogeneous's rows as columns; see there."""
-    tasks = [(e.spec_text, require_equal_centralizers, catalog.order_cap) for e in catalog.entries]
+    tasks = [(e.spec, require_equal_centralizers, catalog.order_cap) for e in catalog.entries]
     size = pool_size(workers, len(tasks), os.cpu_count())
     if size > 1:
         # imported here: it pulls in multiprocessing, socket and subprocess on every run

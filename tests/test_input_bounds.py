@@ -5,14 +5,16 @@ below used to build million-point permutations before any other check. An
 order past 64 bits is named by a power of ten below it, so an order whose
 decimal form passes Python's 4,300-digit str limit never reaches str(); a
 degree or an element selector's integer past the same limit never reaches
-int(). Selector integers and .gens cycle points are ASCII digits only.
+int(). Selector integers and .gens cycle points are ASCII digits only. A
+value read from a file or the environment is quoted in an error line by at
+most its first 40 characters and its length.
 """
 
 import pytest
 
 from classprod import InvalidPermutation, OrderExceeded, build_group
 from classprod.cli import main
-from classprod.group import load_gens
+from classprod.group import load_gens, max_order_cap
 from classprod.perm import Permutation
 
 
@@ -112,3 +114,43 @@ def test_cli_exits_2_on_a_non_ascii_cycle_point(tmp_path, cycle, capsys):
     path.write_text(f"degree 3\ngen {cycle}\n", encoding="utf-8")
     assert main(["build", "--group", f"file:{path}"]) == 2
     assert capsys.readouterr().err == f"error: {path}:2: non-integer point in {cycle!r}\n"
+
+
+# -- values from files and the environment: at most 40 characters echoed -------
+
+LONG = {"nines-4000": "9" * 4000, "nines-5000": "9" * 5000, "x-5000": "x" * 5000}
+ECHOES = (
+    [pytest.param({"CLASSPROD_MAX_ORDER": v}, None, None, id=f"env-{k}") for k, v in LONG.items()]
+    + [pytest.param({}, "g.cayley", v + "\n0\n", id=f"cayley-{k}") for k, v in LONG.items()]
+    + [
+        pytest.param({}, "g.gens", "degree 3\n" + "y" * 5000 + "\n", id="gens-unknown-line"),
+        pytest.param({}, "g.gens", "degree " + "x" * 5000 + "\n", id="gens-degree"),
+        pytest.param({}, "g.gens", "degree 3\ngen (" + "9" * 4000 + ")\n", id="gens-point"),
+        pytest.param({}, "g.gens", "degree 3\ngen (" + "9" * 5000 + ")\n", id="gens-point-past-int"),
+        pytest.param({}, "g.gens", "degree 3\ngen " + "z" * 5000 + "\n", id="gens-cycle-text"),
+    ]
+)
+
+
+@pytest.mark.parametrize("env,name,text", ECHOES)
+def test_a_long_value_is_echoed_in_one_short_line(env, name, text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if name is not None:
+        (tmp_path / name).write_text(text)
+    assert main(["build", "--group", f"file:{name}" if name else "cyclic:5"]) == 2
+    err = capsys.readouterr().err.encode()
+    assert err.count(b"\n") == 1 and err.endswith(b"\n")
+    assert len(err) < 200, err[:300]
+
+
+@pytest.mark.parametrize("digits", [4000, 5000])
+def test_an_env_cap_past_the_limit_is_too_large_whatever_its_length(digits, monkeypatch):
+    monkeypatch.setenv("CLASSPROD_MAX_ORDER", "9" * digits)
+    with pytest.raises(ValueError) as info:
+        max_order_cap()
+    assert str(info.value) == (
+        "CLASSPROD_MAX_ORDER must be at most 32768, the largest order an int16 table can"
+        f" index, got {'9' * 40}... ({digits} digits)"
+    )

@@ -165,8 +165,8 @@ class TestIngest:
             assert ": " in f["error"]
 
     def test_builtin_inclusion_keeps_file_copies(self, tmp_path, groups):
-        # dedup is by canonical spec text; a file that happens to hold an
-        # isomorphic copy of a builtin stays a separate entry
+        # a file's id is file:<basename>, never a builtin's; a file that holds
+        # an isomorphic copy of a builtin stays a separate entry
         save_cayley(groups["sym:3"], str(tmp_path / "s3copy.cayley"))
         cat = ingest(str(tmp_path))
         assert len(cat.entries) == len(BUILTIN_SPECS) + 1

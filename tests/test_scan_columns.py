@@ -3,9 +3,10 @@
 The JSON Lines writer fills one template per group; every line it writes
 must equal ScanRow.to_json_line() of the same row. The catalog merge is one
 stable sort of all rows on (order, id, a, b), so a group listed twice has
-its rows interleaved, as a sort of the row objects would. `scan --json`
-makes no ScanRow at all, and ingested groups keep no class data after a
-sequential scan.
+its rows interleaved, as a sort of the row objects would; a lone group's
+columns pass through it uncopied. `scan --json` makes no ScanRow at all, in
+either mode, and ingested groups keep no class data after a sequential
+scan. An ingest builds its files under the order cap its catalog reports.
 """
 
 import gc
@@ -18,8 +19,10 @@ import tracemalloc
 
 import pytest
 
-from classprod import build_group, cli, from_cayley_table
+from classprod import build_group, cli, from_cayley_table, save_cayley
+from classprod import scan as scan_module
 from classprod.constructions import GroupSpec
+from classprod.group import max_order_cap
 from classprod.scan import (
     Catalog,
     CatalogEntry,
@@ -115,6 +118,32 @@ class TestTemplateWriter:
 
 
 class TestMerge:
+    def test_a_lone_part_is_returned_as_it_is(self, groups):
+        hits = _group_hits(groups["q8"])
+        assert _merge([hits]) is hits
+
+    def test_a_one_group_catalog_is_not_copied(self, monkeypatch):
+        """_merge of one group's all-pairs hits allocates nothing: its columns pass through."""
+        group = GroupSpec.parse("prod(q8,es:3)").build()
+        traced = []
+
+        def merge(parts):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = _merge(parts)
+            traced.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(scan_module, "_merge", merge)
+        entry = CatalogEntry("prod(q8,es:3)", GroupSpec.parse("prod(q8,es:3)"), "builtin", group=group)
+        tracemalloc.start()
+        try:
+            hits = _catalog_hits(Catalog([entry]), require_equal_centralizers=False)
+        finally:
+            tracemalloc.stop()
+        assert len(hits.a) == 9282
+        assert traced[0] < 4096, f"the merge of one group allocated {traced[0]} bytes"
+
     def test_a_group_listed_twice_interleaves(self):
         cat = Catalog([CatalogEntry("q8", GroupSpec.parse("q8"), "builtin")] * 2)
         rows = scan_homogeneous(cat)
@@ -157,10 +186,10 @@ class TestNoRowObjects:
         assert json.loads(capsys.readouterr().out)["total_rows"] == 2180
         assert len(made) == 0
 
-    def test_open_question_makes_rows_for_its_hits_only(self, made, capsys):
+    def test_open_question_makes_no_rows(self, made, capsys):
         assert cli.main(["scan", "--json", "--mode", "open-question"]) == 0
         assert json.loads(capsys.readouterr().out)["by_group"] == {"alt:4": 2}
-        assert len(made) == 2
+        assert len(made) == 0
 
 
 def test_ingested_groups_keep_no_class_data_after_a_scan(tmp_path):
@@ -178,3 +207,20 @@ def test_ingested_groups_keep_no_class_data_after_a_scan(tmp_path):
     assert kept < 50_000, f"the scan left {kept} bytes behind"
     assert all(e.group is not None and not e.group._cache for e in cat.entries)
     assert all(e.group.np_table() is not None for e in cat.entries)  # the tables stay
+
+
+@pytest.mark.parametrize("env_cap", [None, "5"])
+def test_ingest_builds_under_the_cap_its_catalog_reports(env_cap, tmp_path, monkeypatch, groups):
+    """order_cap=0 means the environment's cap, for the files as for the catalog."""
+    if env_cap is None:
+        monkeypatch.delenv("CLASSPROD_MAX_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("CLASSPROD_MAX_ORDER", env_cap)
+    save_cayley(groups["sym:3"], str(tmp_path / "s3.cayley"))
+    cat = ingest(str(tmp_path), include_builtins=False, order_cap=0)
+    assert cat.order_cap == max_order_cap()
+    if cat.order_cap >= 6:
+        assert [e.group.order for e in cat.entries] == [6] and not cat.failures
+    else:
+        assert not cat.entries
+        assert cat.failures[0]["error"] == f"OrderExceeded: table of order 6 exceeds the order cap {cat.order_cap}"

@@ -4,14 +4,16 @@ The sha256 of stdout and of the JSON Lines file, for `scan --json --out`
 with and without `--all-pairs` (2,180 and 80,492 rows), and of stdout for
 `scan --json --mode open-question`. The digests were recorded from the
 scan that walked the centralizer buckets one representative at a time.
-`scan --json` stdout is pinned in test_output_pins.py.
+`scan --json` stdout is pinned in test_output_pins.py. A one-file catalog,
+the table of prod(q8,es:3) alone, is pinned under `--all-pairs --out`
+(9,282 rows), as recorded before a lone group's columns skipped the merge.
 """
 
 import hashlib
 
 import pytest
 
-from classprod import cli
+from classprod import build_group, cli, save_cayley
 
 
 def sha256(data):
@@ -48,3 +50,15 @@ def test_open_question_stdout_digest(capsys):
     assert sha256(capsys.readouterr().out.encode()) == (
         "fa58ec560a6cf85dc14c31c8a623c82d4b601214399ddebdc5d4dd961eedd596"
     )
+
+
+def test_one_file_catalog_all_pairs_digests(tmp_path, capsys):
+    (tmp_path / "one").mkdir()
+    save_cayley(build_group("prod(q8,es:3)"), str(tmp_path / "one" / "g.cayley"))
+    out = tmp_path / "one.jsonl"
+    argv = ["scan", "--catalog", str(tmp_path / "one"), "--no-builtins", "--all-pairs", "--json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == (
+        "2f544b5ffd8363c274b93cb2f54135d0702a5a910d955c763b033929306dd663"
+    )
+    assert sha256(out.read_bytes()) == "ce6c65c73b2da9c250018b05bbdd6903b10b99689efd2dd7461ca7115a3e969e"
