@@ -415,7 +415,7 @@ def _build_from_file(path: str, group_id: str, max_order: Optional[int]) -> Fini
         # from_cayley_table's checks in its order, on the reader's table without a copy
         return _group_of_table(_read_cayley(path, max_order), group_id)
     if path.endswith(".gens"):
-        _, gens = load_gens(path)
+        _, gens = load_gens(path, max_order)
         return close_from_generators(gens, group_id, max_order=max_order)
     raise ValueError(f"unsupported group file {path!r} (expected .gens or .cayley)")
 

@@ -74,9 +74,9 @@ def _blocks(t: np.ndarray) -> Iterator[np.ndarray]:
 def _fill(blocks: Iterator[np.ndarray], n: int) -> np.ndarray:
     """A fresh C-order int16 n x n table of blocks of rows, each checked to lie in
     0..n-1 before the cast, which would wrap it; ValueError names the first bad
-    entry as a plain int once every block is read, so a later block may fail first."""
-    table = np.empty((n, n), dtype=np.int16)
-    i, fault = 0, None
+    entry as a plain int once every block is read, so a later block may fail first.
+    The table is made at the first block that passes, so a fault there costs none."""
+    table, i, fault = None, 0, None
     for block in blocks:
         if fault is None:
             bad = (block < 0) | (block >= n)
@@ -84,37 +84,13 @@ def _fill(blocks: Iterator[np.ndarray], n: int) -> np.ndarray:
                 r, c = divmod(int(np.argmax(bad)), n)
                 fault = f"row {i + r} contains entry {int(block[r, c])!r} outside 0..{n - 1}"
             else:
+                if table is None:
+                    table = np.empty((n, n), dtype=np.int16)
                 table[i : i + len(block)] = block
         i += len(block)
     if fault is not None:
         raise ValueError(fault)
     return table
-
-
-def _adopt_table(table, group_id: str) -> np.ndarray:
-    """table as an int16 C-order n x n array that nothing else can write to.
-
-    Every table must be square with entries in 0..n-1. A writable int16
-    C-contiguous array that owns its buffer is then taken over as is, so a
-    builder hands its result over without a copy. Anything else (lists,
-    rows, other dtypes, views of a buffer the caller keeps) is copied into a
-    fresh int16 array.
-    """
-    owned = (
-        isinstance(table, np.ndarray)
-        and table.dtype == np.int16
-        and table.flags.c_contiguous
-        and table.flags.writeable
-        and table.flags.owndata
-    )
-    arr = np.asarray(table)
-    n = len(arr)
-    if arr.shape != (n, n):
-        raise ValueError(f"table of {group_id!r} is not square: shape {arr.shape}")
-    # one pass over an owned table: a negative entry reads as 32768 or more here
-    if owned and arr.view(np.uint16).max() < n:
-        return arr
-    return _fill(_blocks(arr), n)
 
 
 class FiniteGroup:
@@ -124,19 +100,21 @@ class FiniteGroup:
     at most TABLE_ORDER_LIMIT (32768); table[a] is row a as a zero-copy
     memoryview of it, so table[a][b] is the product a*b. A direct product
     (from_factors) keeps its factors in factors, empty for any other group,
-    and fills its table on first read. The constructor checks the shape,
-    the entries of the table, the identity row and column and the inverses,
-    but not associativity: class data of a table that is no group is
-    meaningless, so untrusted tables belong in from_cayley_table, which
-    checks everything. With no inverse_table, a's inverse is the first x
-    with a*x = e, searched a block of rows at a time; either way NoInverse
-    names the first a without one. Elements are ordered by construction:
-    breadth-first discovery order for generator input, canonicalized table
-    order (identity moved to the front) for raw table input. Instances are
-    treated as immutable; derived data such as conjugacy classes is cached
-    on first use under _cache, which classalg alone fills, with ints,
-    bools, numpy arrays and containers of those only, so that no cached
-    value refers back to a group.
+    and fills its table on first read. The constructor takes a table through
+    the checked fill that from_cayley_table uses, which names the first bad
+    row or entry, and adopts with no copy only an owned, writable C-order
+    int16 n x n array with entries in 0..n-1. It checks the identity row
+    and column and the inverses, but not associativity: class data of a
+    table that is no group is meaningless, so untrusted tables belong in
+    from_cayley_table, which checks everything. With no inverse_table, a's
+    inverse is the first x with a*x = e, searched a block of rows at a time;
+    either way NoInverse names the first a without one. Elements are
+    ordered by construction: breadth-first discovery order for generator
+    input, canonicalized table order (identity moved to the front) for raw
+    table input. Instances are treated as immutable; derived data such as
+    conjugacy classes is cached on first use under _cache, which classalg
+    alone fills, with ints, bools, numpy arrays and containers of those
+    only, so that no cached value refers back to a group.
     """
 
     identity_index = 0
@@ -167,7 +145,10 @@ class FiniteGroup:
         if n == 0:
             raise NoIdentity("empty multiplication table")
         _check_limit(n, group_id)
-        t = _adopt_table(table, group_id)
+        owned = (isinstance(table, np.ndarray) and table.dtype == np.int16 and table.shape == (n, n)
+                 and table.flags.carray and table.flags.owndata)  # carray: C-order, writable
+        # one pass over an owned table: a negative entry reads as 32768 or more here
+        t = table if owned and table.view(np.uint16).max() < n else _table_array(table, n, group_id)
         ar = np.arange(n)
         if not np.array_equal(t[0], ar):
             raise NoIdentity(f"row 0 of {group_id!r} is not the identity row")
@@ -514,7 +495,7 @@ def from_cayley_table(
     if n == 0:
         raise NoIdentity("empty multiplication table")
     _check_cap(n, max_order)
-    return _group_of_table(_table_array(rows, n), group_id, element_names)
+    return _group_of_table(_table_array(rows, n, group_id), group_id, element_names)
 
 
 def _group_of_table(
@@ -558,31 +539,42 @@ def _group_of_table(
     return FiniteGroup(t, group_id, element_names=names, inverse_table=y.tolist())
 
 
-def _table_array(rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
+def _table_array(rows: Sequence[Sequence[int]], n: int, group_id: str) -> np.ndarray:
     """rows as a fresh n x n int16 array; ValueError names the first bad row or entry.
 
-    An n x n integer array, or rows that numpy reads as n-wide integer blocks,
-    go through _fill a block of rows at a time, so no wider whole-table array
-    is made. Anything else (ragged rows, bools, floats, ints past int64, in
-    any block) takes the per-entry loop, which decides exactly which rows and
-    entries are accepted.
+    An array must be n x n. An integer array, or rows that numpy reads as
+    n-wide integer blocks, go through _fill a block of rows at a time, so no
+    wider whole-table array is made. Anything else (ragged rows, bools,
+    floats, ints past int64, in any block) takes the per-entry loop from row
+    0, which decides exactly which rows and entries are accepted and hands
+    _fill one checked row at a time.
     """
     if isinstance(rows, np.ndarray):
-        if rows.shape == (n, n) and rows.dtype.kind in "iu":
+        if rows.shape != (n, n):
+            raise ValueError(f"table of {group_id!r} is not square: shape {rows.shape}")
+        if rows.dtype.kind in "iu":
             return _fill(_blocks(rows), n)
     else:
         try:
             return _fill(_int_blocks(rows, n), n)
         except _NotIntRows:
             pass
-    table = [list(r) for r in rows]
-    for i, row in enumerate(table):
+    return _fill(_checked_rows(rows, n), n)
+
+
+def _checked_rows(rows: Sequence[Sequence[int]], n: int) -> Iterator[np.ndarray]:
+    """Each row as a one-row int16 array once its every entry is an int in 0..n-1."""
+    for i, row in enumerate(rows):
+        try:
+            row = list(row)
+        except TypeError:
+            raise ValueError(f"row {i} is {type(row).__name__!r}, not a sequence") from None
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise ValueError(f"row {i} contains entry {v!r} outside 0..{n - 1}")
-    return np.asarray(table, dtype=np.int16)
+        yield np.array([row], dtype=np.int16)
 
 
 class _NotIntRows(Exception):
@@ -652,13 +644,14 @@ def cayley_rows(group: FiniteGroup) -> List[List[int]]:
 # -- file formats --------------------------------------------------------
 
 
-def load_gens(path: str) -> Tuple[int, List[Permutation]]:
+def load_gens(path: str, max_order: Optional[int] = None) -> Tuple[int, List[Permutation]]:
     """Read a .gens file: a 'degree d' line, then 'gen (cycles)' lines.
 
     Lines may carry '#' comments. Cycles are 1-based and disjoint. A degree
-    over the order cap raises OrderExceeded before any permutation is built.
+    over the order cap (max_order_cap(max_order)) raises OrderExceeded before
+    any permutation is built.
     """
-    cap = max_order_cap()
+    cap = max_order_cap(max_order)
     degree: Optional[int] = None
     gens: List[Permutation] = []
     with open(path, "r", encoding="utf-8") as fh:

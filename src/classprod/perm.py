@@ -8,7 +8,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .errors import InvalidPermutation, _shown
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-_POINT_RE = re.compile(r"-?[0-9]+")  # ASCII digits only: int() takes any Unicode digit
+_POINT_RE = re.compile(r"(-?)0*([0-9]+)")  # ASCII digits only: int() takes any Unicode digit
 
 
 class Permutation:
@@ -65,12 +65,14 @@ class Permutation:
             parts = match.group(1).split()
             if not parts:
                 raise InvalidPermutation(f"empty cycle in {_shown(text)}")
-            try:
-                if not all(_POINT_RE.fullmatch(p) for p in parts):
-                    raise ValueError
-                cycles.append([int(p) for p in parts])
-            except ValueError:
-                raise InvalidPermutation(f"non-integer point in {_shown(text)}") from None
+            points = [_POINT_RE.fullmatch(p) for p in parts]
+            if not all(points):
+                raise InvalidPermutation(f"non-integer point in {_shown(text)}")
+            for m in points:  # past 20 digits a point is past any degree, and maybe past int()
+                if len(m[2]) > 20:
+                    shown = _shown(m[1] + m[2], quote=False)
+                    raise InvalidPermutation(f"point {shown} outside 1..{degree}")
+            cycles.append([int(m[1] + m[2]) for m in points])
         return cls.from_cycles(degree, cycles)
 
     def apply(self, point: int) -> int:

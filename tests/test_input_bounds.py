@@ -5,14 +5,16 @@ below used to build million-point permutations before any other check. An
 order past 64 bits is named by a power of ten below it, so an order whose
 decimal form passes Python's 4,300-digit str limit never reaches str(); a
 degree or an element selector's integer past the same limit never reaches
-int(). Selector integers and .gens cycle points are ASCII digits only. A
-value read from a file or the environment is quoted in an error line by at
-most its first 40 characters and its length.
+int(). Selector integers and .gens cycle points are ASCII digits only; a
+point past 20 digits is named as outside the degree, never read by int().
+A .gens degree is held to the caller's order cap, the environment's only
+when the caller gives none. A value read from a file or the environment is
+quoted in an error line by at most its first 40 characters and its length.
 """
 
 import pytest
 
-from classprod import InvalidPermutation, OrderExceeded, build_group
+from classprod import InvalidPermutation, OrderExceeded, build_group, ingest
 from classprod.cli import main
 from classprod.group import load_gens, max_order_cap
 from classprod.perm import Permutation
@@ -114,6 +116,51 @@ def test_cli_exits_2_on_a_non_ascii_cycle_point(tmp_path, cycle, capsys):
     path.write_text(f"degree 3\ngen {cycle}\n", encoding="utf-8")
     assert main(["build", "--group", f"file:{path}"]) == 2
     assert capsys.readouterr().err == f"error: {path}:2: non-integer point in {cycle!r}\n"
+
+
+LONG_POINTS = {20: "99999999999999999999", 5000: "9" * 40 + "... (5000 digits)"}
+
+
+@pytest.mark.parametrize("digits", list(LONG_POINTS))
+def test_a_long_cycle_point_is_an_integer_outside_the_degree(digits):
+    with pytest.raises(InvalidPermutation) as info:
+        Permutation.parse(3, f"(1 {'9' * digits})")
+    assert str(info.value) == f"point {LONG_POINTS[digits]} outside 1..3"
+
+
+@pytest.mark.parametrize("digits", list(LONG_POINTS))
+def test_cli_exits_2_on_a_long_cycle_point_in_one_short_line(tmp_path, digits, capsys):
+    path = tmp_path / "x.gens"
+    path.write_text(f"degree 3\ngen (1 {'9' * digits})\n")
+    assert main(["build", "--group", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:2: point {LONG_POINTS[digits]} outside 1..3\n"
+    assert len(err.encode()) < 200
+
+
+# -- .gens degrees against the caller's order cap -----------------------------
+
+
+@pytest.fixture
+def c3_gens(tmp_path):
+    path = tmp_path / "c3.gens"
+    path.write_text("degree 3\ngen (1 2 3)\n")
+    return path
+
+
+def test_gens_degree_meets_the_callers_cap_over_the_environments(c3_gens, monkeypatch):
+    monkeypatch.setenv("CLASSPROD_MAX_ORDER", "2")
+    assert build_group(f"file:{c3_gens}", max_order=100).order == 3
+    catalog = ingest(str(c3_gens.parent), include_builtins=False, order_cap=100)
+    assert catalog.failures == []
+    assert [e.group.order for e in catalog.entries] == [3]
+
+
+def test_a_callers_cap_below_the_degree_is_named_at_the_degree_line(c3_gens, monkeypatch):
+    monkeypatch.setenv("CLASSPROD_MAX_ORDER", "4096")
+    with pytest.raises(OrderExceeded) as info:
+        build_group(f"file:{c3_gens}", max_order=2)
+    assert str(info.value) == f"{c3_gens}:1: degree 3 is over the cap 2"
 
 
 # -- values from files and the environment: at most 40 characters echoed -------
