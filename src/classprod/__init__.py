@@ -5,6 +5,8 @@ constructions), compute class products and their decompositions, check the
 statements about homogeneous products, and scan whole catalogs for them.
 """
 
+from importlib import import_module as _import_module
+
 from .classalg import (
     ClassDecomposition,
     ConjugacyClass,
@@ -83,34 +85,38 @@ from .group import (
     save_cayley,
 )
 from .perm import Permutation
-from .scan import (
-    BUILTIN_SPECS,
-    Catalog,
-    CatalogEntry,
-    ScanRow,
-    ingest,
-    open_question_scan,
-    scan_group,
-    scan_homogeneous,
-    summarize,
-    write_jsonl,
-)
-from .verify import (
-    STATEMENT_IDS,
-    VerifierReport,
-    check_all,
-    check_center_intersection,
-    check_direct_product_eta,
-    check_nilpotent_odd,
-    check_product_formula,
-    check_quotient_eta,
-    check_size2,
-    check_subgroup_implies_normal,
-    check_supersolvable_pow2,
-    check_theorem_a,
-    check_theorem_b,
-    equal_centralizer_pairs,
-    run_statement,
-)
+# The scan and the checkers load on first use of one of their names, so a verb
+# that runs neither does not compile them (PEP 562).
+_LAZY = {
+    **dict.fromkeys(
+        ("BUILTIN_SPECS", "Catalog", "CatalogEntry", "ScanRow", "ingest", "open_question_scan",
+         "scan_group", "scan_homogeneous", "summarize", "write_jsonl"),
+        "scan",
+    ),
+    **dict.fromkeys(
+        ("STATEMENT_IDS", "VerifierReport", "check_all", "check_center_intersection",
+         "check_direct_product_eta", "check_nilpotent_odd", "check_product_formula",
+         "check_quotient_eta", "check_size2", "check_subgroup_implies_normal",
+         "check_supersolvable_pow2", "check_theorem_a", "check_theorem_b",
+         "equal_centralizer_pairs", "run_statement"),
+        "verify",
+    ),
+}
+# `from classprod import *` reads only __all__, never __getattr__.
+__all__ = [name for name in globals() if not name.startswith("_")] + [*_LAZY, "scan", "verify"]
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:  # also how `from classprod import scan` reaches the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

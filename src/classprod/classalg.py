@@ -635,6 +635,23 @@ def subgroup_generated(s: ElementSet) -> ElementSet:
     return ElementSet(group, _mask_of(member, group.order))
 
 
+# -- theorem A's criterion ---------------------------------------------------
+
+
+def _theorem_a_criterion(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Theorem A's criterion for every pair (a[p], b[p]), as arrays: match,
+    [a,G] = [b,G] = [ab,G] by commutator-set ids; normal_ab and normal_a,
+    whether [ab,G] and [a,G] are normal, one is_normal call per distinct set.
+    The checkers, the scan's audit and the product verb all read it here."""
+    ids, holders = commutator_set_ids(group)
+    ia, ib, iab = ids[a], ids[b], ids[group.np_table()[a, b]]
+    normal = np.zeros(len(holders), dtype=bool)
+    needed = np.bincount(np.concatenate((ia, iab)), minlength=len(holders))
+    for s in np.flatnonzero(needed).tolist():
+        normal[s] = is_normal(commutator_set(Element(group, holders[s])))
+    return (ia == ib) & (ib == iab), normal[iab], normal[ia]
+
+
 # -- normal subgroups ------------------------------------------------------
 #
 # A normal subgroup is the join of the closures of the classes it contains,
@@ -775,6 +792,11 @@ def is_prime_power(n: int) -> bool:
             return n == 1
         p += 1
     return True
+
+
+def _is_two_power(size: "int | np.ndarray") -> "bool | np.ndarray":
+    """Whether size > 1 is a power of 2; elementwise on an array of sizes."""
+    return (size > 1) & (size & (size - 1) == 0)
 
 
 def _element_orders(group: FiniteGroup) -> np.ndarray:

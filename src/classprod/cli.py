@@ -17,6 +17,7 @@ from typing import List, Optional
 
 from .classalg import (
     _class_data,
+    _theorem_a_criterion,
     center,
     centralizer,
     class_product,
@@ -31,8 +32,6 @@ from .classalg import (
 from .constructions import build_group, odd_eta1_witness
 from .errors import ClassprodError, HypothesisViolated
 from .group import Element, FiniteGroup, save_cayley
-from .scan import Catalog, _catalog_hits, _two_power_hits, format_summary, ingest, pool_size
-from .verify import STATEMENT_IDS, _pair_arrays, _theorem_a_criterion, run_statement
 
 _WORD_TOKEN = re.compile(r"g([0-9]+)(?:\^(-?[0-9]+))?")
 
@@ -162,6 +161,8 @@ def cmd_classes(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
+    from .verify import _pair_arrays
+
     group = build_group(args.group)
     a = resolve_element(group, args.elem_a)
     b = resolve_element(group, args.elem_b)
@@ -211,6 +212,8 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .verify import STATEMENT_IDS, run_statement
+
     group = build_group(args.group)
     if args.statement == "all":
         ids = list(STATEMENT_IDS)
@@ -262,6 +265,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .scan import Catalog, _catalog_hits, _two_power_hits, format_summary, ingest, pool_size
+
     pool_size(args.workers, tasks=1, cpus=1)  # reject workers < 1 before any file is built
     if args.catalog:
         catalog = ingest(args.catalog, include_builtins=not args.no_builtins)
@@ -309,6 +314,18 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+class _StatementHelp(argparse.HelpFormatter):
+    """Help for `check`: the statement argument's help ends with verify's
+    statement ids, so verify is imported only when the help is shown."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        if action.dest != "statement":
+            return action.help
+        from .verify import STATEMENT_IDS
+
+        return f"{action.help} {', '.join(STATEMENT_IDS)}"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="classprod",
@@ -335,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_product.add_argument("--json", action="store_true")
     p_product.set_defaults(func=cmd_product)
 
-    p_check = sub.add_parser("check", help="run statement checkers against a group")
-    p_check.add_argument("statement", help=f"'all' or one of: {', '.join(STATEMENT_IDS)}")
+    p_check = sub.add_parser("check", help="run statement checkers against a group", formatter_class=_StatementHelp)
+    p_check.add_argument("statement", help="'all' or one of:")
     p_check.add_argument("--group", required=True)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)

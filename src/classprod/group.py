@@ -141,7 +141,7 @@ class FiniteGroup:
         generator_indices: Tuple[int, ...] = (),
         inverse_table: Optional[List[int]] = None,
     ):
-        n = len(table)
+        n = _order_of(table, group_id)
         if n == 0:
             raise NoIdentity("empty multiplication table")
         _check_limit(n, group_id)
@@ -491,7 +491,7 @@ def from_cayley_table(
     Elements are then relabeled so the identity is index 0; other elements
     keep their relative order.
     """
-    n = len(rows)
+    n = _order_of(rows, group_id)
     if n == 0:
         raise NoIdentity("empty multiplication table")
     _check_cap(n, max_order)
@@ -539,6 +539,13 @@ def _group_of_table(
     return FiniteGroup(t, group_id, element_names=names, inverse_table=y.tolist())
 
 
+def _order_of(rows: Sequence[Sequence[int]], group_id: str) -> int:
+    """len(rows); a 0-d array, which has no len, is named as any array that is not n x n."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 0:
+        raise ValueError(f"table of {group_id!r} is not square: shape {rows.shape}")
+    return len(rows)
+
+
 def _table_array(rows: Sequence[Sequence[int]], n: int, group_id: str) -> np.ndarray:
     """rows as a fresh n x n int16 array; ValueError names the first bad row or entry.
 
@@ -573,8 +580,21 @@ def _checked_rows(rows: Sequence[Sequence[int]], n: int) -> Iterator[np.ndarray]
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
-                raise ValueError(f"row {i} contains entry {v!r} outside 0..{n - 1}")
+                raise ValueError(f"row {i} contains entry {_entry_shown(v)} outside 0..{n - 1}")
         yield np.array([row], dtype=np.int16)
+
+
+def _entry_shown(v: object) -> str:
+    """A table entry for an error line: its repr, clipped by _shown. An int past
+    str()'s limit on digits is written as its leading digits padded with zeros."""
+    try:
+        return _shown(repr(v), quote=False)
+    except ValueError:
+        if not isinstance(v, int):
+            raise
+    sign, v = ("-", -v) if v < 0 else ("", v)
+    pad = int((v.bit_length() - 1) * 0.3010299956) - 40  # v has more than pad + 40 digits
+    return _shown(sign + str(v // 10**pad) + "0" * pad, quote=False)
 
 
 class _NotIntRows(Exception):

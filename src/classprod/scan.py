@@ -19,6 +19,8 @@ import numpy as np
 from .classalg import (
     _centralizer_ids,
     _class_data,
+    _is_two_power,
+    _theorem_a_criterion,
     class_eta_matrix,
     equal_centralizer_arrays,
     is_nilpotent,
@@ -29,7 +31,6 @@ from .classalg import (
 from .constructions import GroupSpec, build_group
 from .errors import InternalContradiction
 from .group import FiniteGroup, max_order_cap
-from .verify import _is_two_power, _theorem_a_criterion
 
 BUILTIN_SPECS: Tuple[str, ...] = (
     "cyclic:1",

@@ -26,7 +26,6 @@ from .classalg import (
     class_product,
     class_support_row,
     commutator_set,
-    commutator_set_ids,
     conjugacy_class,
     conjugacy_classes,
     decompose,
@@ -44,7 +43,9 @@ from .classalg import (
     _class_data,
     _commutes_with,
     _inverse_array,
+    _is_two_power,
     _quotient_classes,
+    _theorem_a_criterion,
 )
 from .constructions import direct_product
 from .errors import GroupMismatch, HypothesisViolated
@@ -281,19 +282,6 @@ def _theorem_a_sides(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> Tuple[
     a^G b^G is one class, from the kernel's eta alone; then _theorem_a_criterion."""
     cid = class_id_array(group)
     return (class_eta_matrix(group)[cid[a], cid[b]] == 1, *_theorem_a_criterion(group, a, b))
-
-
-def _theorem_a_criterion(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Theorem A's criterion for every pair (a[p], b[p]), as arrays: match,
-    [a,G] = [b,G] = [ab,G] by commutator-set ids; normal_ab and normal_a,
-    whether [ab,G] and [a,G] are normal, one is_normal call per distinct set."""
-    ids, holders = commutator_set_ids(group)
-    ia, ib, iab = ids[a], ids[b], ids[group.np_table()[a, b]]
-    normal = np.zeros(len(holders), dtype=bool)
-    needed = np.bincount(np.concatenate((ia, iab)), minlength=len(holders))
-    for s in np.flatnonzero(needed).tolist():
-        normal[s] = is_normal(commutator_set(Element(group, holders[s])))
-    return (ia == ib) & (ib == iab), normal[iab], normal[ia]
 
 
 def _theorem_a_report(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> VerifierReport:
@@ -631,11 +619,6 @@ def _size2_pair(out: _Tally, group: FiniteGroup, a: Element, b: Element) -> None
                     "product": list(product),
                 },
             )
-
-
-def _is_two_power(size: "int | np.ndarray") -> "bool | np.ndarray":
-    """Whether size > 1 is a power of 2; elementwise on an array of sizes."""
-    return (size > 1) & (size & (size - 1) == 0)
 
 
 def check_supersolvable_pow2(group: FiniteGroup, a: Element, b: Element) -> VerifierReport:

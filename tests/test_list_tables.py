@@ -141,6 +141,17 @@ HOSTILE = {
     "a row that is not a sequence": ([[0, 1], 1], "row 1 is 'int', not a sequence"),
     "a 1-d array": (np.arange(3), "table of 'x' is not square: shape (3,)"),
     "a 3-d array": (np.zeros((2, 2, 2), dtype=np.int64), "table of 'x' is not square: shape (2, 2, 2)"),
+    "a 0-d array": (np.array(5), "table of 'x' is not square: shape ()"),
+    "an int past str()'s limit on digits": (
+        [[0, 10**5000], [1, 0]],
+        f"row 0 contains entry 1{'0' * 39}... (5001 digits) outside 0..1",
+    ),
+    "a negative int past the limit, in an object array": (
+        np.array([[0, 1], [1, -(10**4400) - 7]], dtype=object),
+        f"row 1 contains entry -1{'0' * 38}... (4401 digits) outside 0..1",
+    ),
+    "a long int": ([[0, 1], [3 * 10**50, 0]], f"row 1 contains entry 3{'0' * 39}... (51 digits) outside 0..1"),
+    "a long string": ([[0, "y" * 100], [1, 0]], f"row 0 contains entry '{'y' * 39}... (102 characters) outside 0..1"),
 }
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from classprod import build_group, cayley_rows, from_cayley_table
-from classprod import cli
+from classprod import cli, scan
 from classprod.errors import NoInverse
 from classprod.group import FiniteGroup, load_cayley, save_cayley
 
@@ -121,7 +121,7 @@ def test_classes_at_the_order_cap_byte_identical(capsys):
 
 def test_scan_rejects_workers_before_ingest(tmp_path, capsys, monkeypatch):
     (tmp_path / "c4.gens").write_text("degree 4\ngen (1 2 3 4)\n")
-    monkeypatch.setattr(cli, "ingest", lambda *a, **k: pytest.fail("ingest ran"))
+    monkeypatch.setattr(scan, "ingest", lambda *a, **k: pytest.fail("ingest ran"))
     code = cli.main(["scan", "--catalog", str(tmp_path), "--workers", "0"])
     captured = capsys.readouterr()
     assert code == 2 and not captured.out

@@ -11,7 +11,7 @@ the same way.
 import pytest
 
 from classprod import ElementSet, build_group, conjugacy_classes, direct_product
-from classprod import verify
+from classprod import classalg, verify
 from classprod.group import max_order_cap
 
 SPECS = ("sym:3", "sym:4", "q8", "dihedral:6", "es:3", "alt:5", "prod(sym:3,cyclic:3)", "es:5")
@@ -114,6 +114,8 @@ FAULTS = {
 def test_pairwise_statements_match_the_one_pair_merge(spec, fault, monkeypatch):
     for name, planted in FAULTS[fault].items():
         monkeypatch.setattr(verify, name, planted)
+        if name == "is_normal":  # theorem A's criterion reads classalg's
+            monkeypatch.setattr(classalg, name, planted)
     for sid in PAIRWISE:
         got = outcome(lambda: verify.run_statement(fresh(spec), sid))
         expected = outcome(lambda: one_pair_reference(fresh(spec), sid))
@@ -127,7 +129,7 @@ def test_pairwise_statements_match_the_one_pair_merge(spec, fault, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["es:3", "es:5"])
 def test_theorem_a_fault_runs_past_the_cap(spec, monkeypatch):
-    monkeypatch.setattr(verify, "is_normal", lambda s: False)
+    monkeypatch.setattr(classalg, "is_normal", lambda s: False)  # reaches the criterion, not the eta side
     report = verify.run_statement(fresh(spec), "theorem-a")
     assert report.verdict == "fails" and len(report.witnesses) == 40
     assert report.notes[-1].startswith("witness list truncated to 40 of ")
