@@ -15,6 +15,8 @@ import re
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from .classalg import (
     _class_data,
     _theorem_a_criterion,
@@ -161,8 +163,6 @@ def cmd_classes(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    from .verify import _pair_arrays
-
     group = build_group(args.group)
     a = resolve_element(group, args.elem_a)
     b = resolve_element(group, args.elem_b)
@@ -174,7 +174,7 @@ def cmd_product(args: argparse.Namespace) -> int:
         return 3
     product = class_product(a, b)
     parts = decompose(product)
-    match, normal_ab, _ = _theorem_a_criterion(group, *_pair_arrays(group, a, b))
+    match, normal_ab, _ = _theorem_a_criterion(group, np.array([a.index]), np.array([b.index]))
     rhs_match, rhs_normal = bool(match[0]), bool(normal_ab[0])
     report = {
         "group_id": group.group_id,

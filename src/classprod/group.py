@@ -96,14 +96,15 @@ def _fill(blocks: Iterator[np.ndarray], n: int) -> np.ndarray:
 class FiniteGroup:
     """A finite group on indices 0..order-1, index 0 being the identity.
 
-    The table is one read-only int16 n x n array, np_table(), so order is
-    at most TABLE_ORDER_LIMIT (32768); table[a] is row a as a zero-copy
-    memoryview of it, so table[a][b] is the product a*b. A direct product
-    (from_factors) keeps its factors in factors, empty for any other group,
-    and fills its table on first read. The constructor takes a table through
-    the checked fill that from_cayley_table uses, which names the first bad
-    row or entry, and adopts with no copy only an owned, writable C-order
-    int16 n x n array with entries in 0..n-1. It checks the identity row
+    table is the group's one table: a read-only C-order int16 n x n array,
+    also returned by np_table(), so order is at most TABLE_ORDER_LIMIT
+    (32768) and table[a, b] is the product a*b as an np.int16; mul and the
+    other scalar methods return it as an int. A direct product (from_factors)
+    keeps its factors in factors, empty for any other group, and fills its
+    table on first read. The constructor takes a table through the checked
+    fill that from_cayley_table uses, which names the first bad row or
+    entry, and adopts with no copy only an owned, writable C-order int16
+    n x n array with entries in 0..n-1. It checks the identity row
     and column and the inverses, but not associativity: class data of a
     table that is no group is meaningless, so untrusted tables belong in
     from_cayley_table, which checks everything. With no inverse_table, a's
@@ -128,7 +129,6 @@ class FiniteGroup:
         "named_elements",
         "generator_indices",
         "factors",
-        "_np_table",
         "_cache",
     )
 
@@ -170,7 +170,7 @@ class FiniteGroup:
         generator_indices: Tuple[int, ...],
         inverse_table: Sequence[int],
     ) -> "FiniteGroup":
-        """A group on owner's frozen table and row views, shared with no copy.
+        """A group on owner's frozen table, shared with no copy.
 
         Only a table another group already owns frozen comes in here, never
         a caller's array, so nothing can write to it. The new group has its
@@ -181,7 +181,7 @@ class FiniteGroup:
         inverse_table = _checked_inverses(t, inverse_table, group_id)
         group._describe(owner.order, group_id, element_names, None, generator_indices, inverse_table)
         group.factors = ()
-        group._np_table, group.table = t, owner.table
+        group.table = t
         return group
 
     @classmethod
@@ -210,8 +210,8 @@ class FiniteGroup:
         return group
 
     def __getattr__(self, name: str):
-        # reached only for a product whose table slots are still unset
-        if name not in ("table", "_np_table") or not self.factors:
+        # reached only for a product whose table slot is still unset
+        if name != "table" or not self.factors:
             raise AttributeError(name)
         t = self.factors[0].np_table()
         for k in self.factors[1:]:
@@ -222,7 +222,7 @@ class FiniteGroup:
             np.add(scaled[:, None, :, None], k.np_table()[None, :, None, :],
                    out=t.reshape(go, ko, go, ko))
         self._set_table(t)
-        return object.__getattribute__(self, name)
+        return t
 
     def _describe(
         self,
@@ -249,15 +249,12 @@ class FiniteGroup:
 
     def _set_table(self, t: np.ndarray) -> None:
         t.setflags(write=False)
-        flat = memoryview(t.reshape(-1))
-        n = self.order
-        self._np_table = t
-        self.table = [flat[i * n : (i + 1) * n] for i in range(n)]
+        self.table = t
 
-    # -- index-level arithmetic ------------------------------------------
+    # -- index-level arithmetic: item() returns a Python int, not np.int16 --
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return self.table.item(a, b)
 
     def inv(self, a: int) -> int:
         return self.inverse_table[a]
@@ -265,27 +262,27 @@ class FiniteGroup:
     def conj(self, a: int, g: int) -> int:
         """a conjugated by g, that is g^-1 * a * g."""
         t = self.table
-        return t[t[self.inverse_table[g]][a]][g]
+        return t.item(t.item(self.inverse_table[g], a), g)
 
     def comm(self, a: int, g: int) -> int:
         """The commutator a^-1 * a^g."""
-        return self.table[self.inverse_table[a]][self.conj(a, g)]
+        return self.table.item(self.inverse_table[a], self.conj(a, g))
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inverse_table[a], -k)
-        acc = 0
+        t, acc = self.table, 0
         while k:
             if k & 1:
-                acc = self.table[acc][a]
-            a = self.table[a][a]
+                acc = t.item(acc, a)
+            a = t.item(a, a)
             k >>= 1
         return acc
 
     def order_of(self, a: int) -> int:
-        k, x = 1, a
+        t, k, x = self.table, 1, a
         while x != 0:
-            x = self.table[x][a]
+            x = t.item(x, a)
             k += 1
         return k
 
@@ -304,8 +301,8 @@ class FiniteGroup:
         return str(index)
 
     def np_table(self) -> np.ndarray:
-        """The table itself: read-only, shared with the rows of self.table."""
-        return self._np_table
+        """self.table, the group's one read-only int16 array."""
+        return self.table
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.group_id!r}, order={self.order})"
@@ -776,4 +773,4 @@ def save_cayley(group: FiniteGroup, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{group.order}\n")
         for row in group.table:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+            fh.write(" ".join(map(str, row.tolist())) + "\n")

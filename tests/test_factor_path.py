@@ -65,7 +65,7 @@ def fresh_builds(monkeypatch):
 
 def table_filled(g: FiniteGroup) -> bool:
     try:
-        FiniteGroup._np_table.__get__(g, FiniteGroup)
+        FiniteGroup.table.__get__(g, FiniteGroup)
     except AttributeError:
         return False
     return True

@@ -88,7 +88,7 @@ print(code, *sorted(m for m in ("classprod.scan", "classprod.verify") if m in sy
         (["build", "--group", "sym:4", "--json"], []),
         (["construct", "--n", "3"], []),
         (["check", "all", "--group", "sym:3"], ["classprod.verify"]),
-        (["product", "--group", "q8", "-a", "i", "-b", "i"], ["classprod.verify"]),
+        (["product", "--group", "q8", "-a", "i", "-b", "i"], []),
         (["scan", "--json"], ["classprod.scan"]),
         (["scan", "--mode", "open-question"], ["classprod.scan"]),
     ],

@@ -21,7 +21,7 @@ CLASSES_3375_SHA256 = "c563dc61669ec77fa34903b5916679ca95f781234a071d404ae64b659
 class TestReadOnly:
     def test_rows_reject_writes(self, groups):
         g = groups["sym:4"]
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             g.table[1][2] = 0
         assert g.table[1][2] == g.np_table()[1, 2]
 

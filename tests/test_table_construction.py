@@ -159,4 +159,4 @@ class TestTableValidationAgainstReference:
         )
         g = build_group("sym:5")
         again = from_cayley_table([list(r) for r in g.table], "s5")
-        assert again.table == g.table
+        assert np.array_equal(again.table, g.table)
