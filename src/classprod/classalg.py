@@ -512,7 +512,7 @@ def _kernel_row(group: FiniteGroup, i: int) -> _ClassKernel:
     if kernel.keys[i] is None:
         cid = data.class_id
         keys = np.sort(cid * k + cid[group.np_table()[data.reps[i]]])
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # np.r_ costs about 10 us a call
         kernel.eta[i] = np.bincount(keys // k, minlength=k)
         kernel.keys[i] = keys.astype(np.int32)
     return kernel
@@ -659,13 +659,38 @@ def _theorem_a_criterion(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> Tu
 # gives the rest by products (A. Hulpke, "Computing normal subgroups", 1998).
 
 
+def _closure_masks(group: FiniteGroup, sq: np.ndarray) -> Iterator[int]:
+    """The masks of the subgroups the classes generate; sq[j] is the class of r_j^2.
+
+    <C_i> is a union of classes: reached[b*k + j] says C_j lies in <C_(i0 + b)>.
+    For each new key a round adds the classes of C_j * r_i (those of C_j C_i) and of
+    r_j^2: O(log m) rounds for a cyclic closure of order m, |<C_i>| table reads in all.
+    """
+    data = _class_data(group)
+    t, cid, k = group.np_table(), data.class_id, len(data.reps)
+    for i0 in range(0, k, _BLOCK_ROWS):
+        reached = np.zeros(min(_BLOCK_ROWS, k - i0) * k, dtype=bool)
+        keys = np.arange(len(reached) // k) * (k + 1) + i0  # C_i lies in <C_i>
+        while keys.size:
+            reached[keys] = True
+            b, j = np.divmod(keys, k)
+            size = data.sizes[j]
+            pair = np.repeat(np.arange(len(b)), size)
+            member = data.order[(data.starts[j] - np.cumsum(size) + size)[pair] + np.arange(len(pair))]
+            keys = np.concatenate((b[pair] * k + cid[t[member, data.reps[i0 + b[pair]]]], b * k + sq[j]))
+            keys = np.sort(keys[~reached[keys]])  # distinct by sort and compare: np.unique imports numpy.ma
+            keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+        bits = np.packbits(reached.reshape(-1, k)[:, cid], axis=1, bitorder="little")
+        yield from (int.from_bytes(row.tobytes(), "little") for row in bits)
+
+
 def _class_closures(group: FiniteGroup) -> Tuple[int, ...]:
     """The element mask of the normal closure of every class, in class order."""
     cached = group._cache.get("class_closures")
     if cached is None:
-        cached = group._cache["class_closures"] = tuple(
-            subgroup_generated(ElementSet(group, m)).mask for m in _class_data(group).masks
-        )
+        data = _class_data(group)
+        sq = data.class_id[group.np_table()[data.reps, data.reps]]
+        cached = group._cache["class_closures"] = tuple(_closure_masks(group, sq))
     return cached
 
 

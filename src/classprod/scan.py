@@ -275,7 +275,7 @@ class _Hits(NamedTuple):
         names = np.array([dump(name) for name in self.names], dtype=object)
         # runs of one head, cut every _CHUNK_ROWS rows
         cuts = np.flatnonzero(self.head[1:] != self.head[:-1]) + 1
-        edges = np.union1d(cuts, np.arange(0, len(self.a), _CHUNK_ROWS)).tolist() + [len(self.a)]
+        edges = sorted({*cuts.tolist(), *range(0, len(self.a), _CHUNK_ROWS)}) + [len(self.a)]
         with open(path, "w", encoding="utf-8") as fh:
             for start, end in zip(edges, edges[1:]):
                 run = slice(start, end)

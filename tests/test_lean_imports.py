@@ -1,14 +1,17 @@
 """The CLI never imports numpy.ma, and each verb imports only the modules it runs.
 
 np.unique and the set routines built on it import numpy.ma, about 15 ms of
-start-up, so the table validation and the checkers use boolean masks and
-flatnonzero instead. Each run is a fresh interpreter, so nothing imported by
-another test can hide the import.
+start-up, so the table validation, the checkers and the scan's output use
+boolean masks, flatnonzero and sort-and-compare instead. Each run is a fresh
+interpreter, so nothing imported by another test can hide the import. The
+module fixture starts every child up front, at most os.cpu_count() at a
+time, and each test asserts on its own child's output.
 """
 
 import os
 import subprocess
 import sys
+from typing import Dict, NamedTuple, Tuple
 
 import pytest
 
@@ -25,38 +28,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, "numpy.ma" in sys.modules)
 """
 
-
-def run_cli(*argv):
-    return run_python(PROBE, *argv)
-
-
-def run_python(code, *argv, env=()):
-    env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    env.pop("CLASSPROD_MAX_ORDER", None)
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
-    return done.stdout.split()
-
-
-def test_check_all_does_not_import_numpy_ma():
-    assert run_cli("check", "all", "--group", "es:3^2", "--json") == ["0", "False"]
-
-
-def test_catalog_scan_does_not_import_numpy_ma(tmp_path):
-    for i, spec in enumerate(("sym:4", "es:3", "prod(q8,cyclic:3)")):
-        g = build_group(spec)
-        n = g.order
-        shift = [(x + 1) % n for x in range(n)]  # the identity moves to index 1
-        table = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                table[shift[a]][shift[b]] = shift[g.mul(a, b)]
-        rows = "".join(" ".join(map(str, row)) + "\n" for row in table)
-        (tmp_path / f"{i}.cayley").write_text(f"{n}\n{rows}")
-    assert run_cli("scan", "--catalog", str(tmp_path), "--no-builtins", "--json") == ["0", "False"]
-
-
 # Each verb compiles only the modules it runs: scan.py and verify.py load on
 # first use, through the package's module __getattr__ or a verb's own import.
+
+LOADED_PROBE = """
+import contextlib, io, sys
+from classprod import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in ("classprod.scan", "classprod.verify") if m in sys.modules))
+"""
 
 LAZY_NAMES = {
     "scan": (
@@ -72,42 +53,7 @@ LAZY_NAMES = {
     ),
 }
 
-LOADED_PROBE = """
-import contextlib, io, sys
-from classprod import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-print(code, *sorted(m for m in ("classprod.scan", "classprod.verify") if m in sys.modules))
-"""
-
-
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["classes", "--group", "q8"], []),
-        (["build", "--group", "sym:4", "--json"], []),
-        (["construct", "--n", "3"], []),
-        (["check", "all", "--group", "sym:3"], ["classprod.verify"]),
-        (["product", "--group", "q8", "-a", "i", "-b", "i"], []),
-        (["scan", "--json"], ["classprod.scan"]),
-        (["scan", "--mode", "open-question"], ["classprod.scan"]),
-    ],
-    ids=["classes", "build", "construct", "check", "product", "scan", "scan-open-question"],
-)
-def test_a_verb_loads_only_the_modules_it_runs(argv, loaded):
-    assert run_python(LOADED_PROBE, *argv) == ["0", *loaded]
-
-
-def test_a_catalog_scan_with_out_does_not_load_verify(tmp_path):
-    save_cayley(build_group("sym:3"), str(tmp_path / "s3.cayley"))
-    out = tmp_path / "rows.jsonl"
-    argv = ["scan", "--catalog", str(tmp_path), "--out", str(out), "--json"]
-    assert run_python(LOADED_PROBE, *argv) == ["0", "classprod.scan"]
-    assert out.read_text()
-
-
-def test_each_lazy_name_is_its_submodules_own_object():
-    probe = """
+LAZY_PROBE = """
 import importlib, sys
 import classprod
 print(*sorted(m for m in ("classprod.scan", "classprod.verify") if m in sys.modules))
@@ -122,7 +68,115 @@ for module, names in %r.items():
     assert space[module] is sys.modules["classprod." + module]
 print("ok")
 """ % (LAZY_NAMES,)
-    assert run_python(probe) == ["ok"]  # `import classprod` alone loads neither module
+
+HELP_PROBE = """
+import contextlib, io, sys
+from classprod import cli
+cli._build_parser()
+print("classprod.verify" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.suppress(SystemExit):
+    cli.main(["check", "--help"])
+from classprod.verify import STATEMENT_IDS
+print(f"'all' or one of: {', '.join(STATEMENT_IDS)}" in out.getvalue(), len(STATEMENT_IDS))
+"""
+
+VERBS = {
+    "classes": (["classes", "--group", "q8"], []),
+    "build": (["build", "--group", "sym:4", "--json"], []),
+    "construct": (["construct", "--n", "3"], []),
+    "check": (["check", "all", "--group", "sym:3"], ["classprod.verify"]),
+    "product": (["product", "--group", "q8", "-a", "i", "-b", "i"], []),
+    "scan": (["scan", "--json"], ["classprod.scan"]),
+    "scan-open-question": (["scan", "--mode", "open-question"], ["classprod.scan"]),
+}
+
+
+def write_shifted_catalog(path):
+    """Three tables whose identity sits at index 1, so ingest relabels them."""
+    path.mkdir()
+    for i, spec in enumerate(("sym:4", "es:3", "prod(q8,cyclic:3)")):
+        g = build_group(spec)
+        n = g.order
+        shift = [(x + 1) % n for x in range(n)]  # the identity moves to index 1
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[shift[a]][shift[b]] = shift[g.mul(a, b)]
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in table)
+        (path / f"{i}.cayley").write_text(f"{n}\n{rows}")
+
+
+class Children(NamedTuple):
+    root: str  # the directory of the children's input and output files
+    results: Dict[str, Tuple[int, str, str]]  # case -> (exit status, stdout, stderr)
+
+    def stdout(self, case):
+        status, out, err = self.results[case]
+        assert status == 0, err
+        return out.split()
+
+
+@pytest.fixture(scope="module")
+def children(tmp_path_factory):
+    root = tmp_path_factory.mktemp("children")
+    write_shifted_catalog(root / "shifted")
+    (root / "s3").mkdir()
+    save_cayley(build_group("sym:3"), str(root / "s3" / "s3.cayley"))
+    cases = {
+        "check-all": (PROBE, ["check", "all", "--group", "es:3^2", "--json"]),
+        "catalog-scan": (PROBE, ["scan", "--catalog", str(root / "shifted"), "--no-builtins", "--json"]),
+        "scan-out": (PROBE, ["scan", "--json", "--out", str(root / "builtins.jsonl")]),
+        "catalog-scan-out": (LOADED_PROBE, ["scan", "--catalog", str(root / "s3"), "--out", str(root / "rows.jsonl"), "--json"]),
+        "lazy-names": (LAZY_PROBE, []),
+        "check-help": (HELP_PROBE, []),
+        **{f"verb-{name}": (LOADED_PROBE, argv) for name, (argv, _) in VERBS.items()},
+    }
+    env = dict(os.environ, COLUMNS="300", PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("CLASSPROD_MAX_ORDER", None)
+    results, running = {}, []
+
+    def finish(case, child):
+        out, err = child.communicate()
+        results[case] = (child.returncode, out, err)
+
+    for case, (code, argv) in cases.items():
+        if len(running) == (os.cpu_count() or 1):
+            finish(*running.pop(0))
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        running.append((case, child))
+    for case, child in running:
+        finish(case, child)
+    return Children(str(root), results)
+
+
+def test_check_all_does_not_import_numpy_ma(children):
+    assert children.stdout("check-all") == ["0", "False"]
+
+
+def test_catalog_scan_does_not_import_numpy_ma(children):
+    assert children.stdout("catalog-scan") == ["0", "False"]
+
+
+def test_scan_with_out_does_not_import_numpy_ma(children):
+    assert children.stdout("scan-out") == ["0", "False"]
+    assert os.path.getsize(os.path.join(children.root, "builtins.jsonl"))
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_a_verb_loads_only_the_modules_it_runs(children, verb):
+    assert children.stdout(f"verb-{verb}") == ["0", *VERBS[verb][1]]
+
+
+def test_a_catalog_scan_with_out_does_not_load_verify(children):
+    assert children.stdout("catalog-scan-out") == ["0", "classprod.scan"]
+    with open(os.path.join(children.root, "rows.jsonl")) as fh:
+        assert fh.read()
+
+
+def test_each_lazy_name_is_its_submodules_own_object(children):
+    assert children.stdout("lazy-names") == ["ok"]  # `import classprod` alone loads neither module
 
 
 def test_the_package_lists_its_lazy_names_and_refuses_unknown_ones():
@@ -143,15 +197,5 @@ def test_scan_and_verify_share_one_criterion_kernel():
     assert scan._is_two_power is verify._is_two_power is classalg._is_two_power
 
 
-def test_check_help_reads_the_statement_ids_only_when_shown():
-    probe = """
-import contextlib, io, sys
-from classprod import cli
-cli._build_parser()
-print("classprod.verify" in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.suppress(SystemExit):
-    cli.main(["check", "--help"])
-from classprod.verify import STATEMENT_IDS
-print(f"'all' or one of: {', '.join(STATEMENT_IDS)}" in out.getvalue(), len(STATEMENT_IDS))
-"""
-    assert run_python(probe, env={"COLUMNS": "300"}) == ["False", "True", "10"]
+def test_check_help_reads_the_statement_ids_only_when_shown(children):
+    assert children.stdout("check-help") == ["False", "True", "10"]

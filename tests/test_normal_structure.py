@@ -6,8 +6,10 @@ the center and the supersolvable and simple-nonabelian verdicts, on every
 built-in group and five direct products; any change to one of these moves
 the digest. The quotient-chain supersolvability test kept here is the
 reference for is_supersolvable, which walks its chief series inside G. The
-class-support kernel's keys are compared with a dense k x k scratch
-reference written here.
+class closures are compared with subgroup_generated, the element closure,
+which also catches a planted wrong square class. The class-support
+kernel's keys are compared with a dense k x k scratch reference written
+here.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ from classprod import (
     normal_closure,
     normal_subgroups,
     quotient,
+    subgroup_generated,
 )
 from classprod import classalg
 from classprod.constructions import _is_prime
@@ -113,30 +116,56 @@ def test_supersolvable_matches_quotient_chain(g):
 
 
 def test_structure_stays_inside_the_group(monkeypatch):
-    """No quotient group and no closure per join: one closure per class."""
-    closures = []
-    generate = classalg.subgroup_generated
-
-    def counted(s):
-        closures.append(s.mask)
-        return generate(s)
+    """No quotient group and no element closure: the class closures come from one class-level pass."""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("is_supersolvable built a quotient or its minimal normals")
+        raise AssertionError("built an element closure, a quotient or its minimal normals")
 
-    monkeypatch.setattr(classalg, "subgroup_generated", counted)
-    monkeypatch.setattr(classalg, "quotient", forbidden)
-    monkeypatch.setattr(classalg, "minimal_normal_subgroups", forbidden)
+    for name in ("subgroup_generated", "quotient", "minimal_normal_subgroups"):
+        monkeypatch.setattr(classalg, name, forbidden)
     g = from_cayley_table(cayley_rows(build_group("prod(q8,es:3)")), "q8xes3")  # no caches
     assert is_supersolvable(g) and is_supersolvable(g, tie_break=random.Random(0))
     monkeypatch.undo()
-    monkeypatch.setattr(classalg, "subgroup_generated", counted)
+    monkeypatch.setattr(classalg, "subgroup_generated", forbidden)
     assert all(is_normal(s) for s in normal_subgroups(g))
     minimal_normal_subgroups(g)
     is_simple_nonabelian(g)
     for cls in conjugacy_classes(g):
         normal_closure(cls.representative)
-    assert sorted(closures) == sorted(c.carrier.mask for c in conjugacy_classes(g))
+
+
+# -- the class closures against the element closure --------------------------
+
+
+def closure_mismatches(g, masks):
+    """The classes whose closure mask is not the subgroup their class generates."""
+    classes = conjugacy_classes(g)
+    return [i for i, m in enumerate(masks) if m != subgroup_generated(classes[i].carrier).mask]
+
+
+# cyclic:64 and the 256-element product need deep squaring and have k = n
+@pytest.mark.parametrize(
+    "g",
+    supersolvable_groups() + [build_group(s) for s in ("cyclic:64", "prod(cyclic:16,cyclic:16)")],
+    ids=lambda g: g.group_id,
+)
+def test_class_closures_are_the_generated_subgroups(g):
+    assert closure_mismatches(g, classalg._class_closures(g)) == []
+
+
+@pytest.mark.parametrize("spec", ["prod(sym:3,cyclic:3)", "cyclic:64", "dihedral:6"])
+def test_a_wrong_square_class_is_caught(spec):
+    g = build_group(spec)
+    data = classalg._class_data(g)
+    sq = data.class_id[g.np_table()[data.reps, data.reps]]
+    closures = classalg._class_closures(g)
+    assert tuple(classalg._closure_masks(g, sq)) == closures
+    # plant, as the class of r_j^2, a class outside the closure of C_j
+    j = next(j for j, m in enumerate(closures) if j and m != (1 << g.order) - 1)
+    outside = next(l for l, c in enumerate(data.masks) if not c & closures[j])
+    wrong = sq.copy()
+    wrong[j] = outside
+    assert j in closure_mismatches(g, classalg._closure_masks(g, wrong))
 
 
 # -- the lattice -----------------------------------------------------------
