@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .constructions import _is_prime
+from .constructions import _is_prime, _prime_powers
 from .errors import GroupMismatch, NotInvariant, NotNormal, TrivialGroup
 from .group import Element, FiniteGroup, _require_same_group
 
@@ -525,13 +523,12 @@ def class_support_row(group: FiniteGroup, i: int) -> np.ndarray:
 
 def class_eta_matrix(group: FiniteGroup) -> np.ndarray:
     """eta(C_i C_j) for every ordered pair of classes, as a read-only k x k array."""
-    view = group._cache.get("class_eta")
-    if view is None:  # kept once every row is built
+    kernel = group._cache.get("class_kernel")
+    if kernel is None or kernel.eta.flags.writeable:  # frozen once every row is built
         for i in range(len(_class_data(group).reps)):
             kernel = _kernel_row(group, i)
-        view = group._cache["class_eta"] = kernel.eta.view()
-        view.setflags(write=False)
-    return view
+        kernel.eta.setflags(write=False)
+    return kernel.eta
 
 
 def class_product(a: Element, b: Element) -> ElementSet:
@@ -540,16 +537,12 @@ def class_product(a: Element, b: Element) -> ElementSet:
     group = a.group
     data = _class_data(group)
     i, j = int(data.class_id[a.index]), int(data.class_id[b.index])
-    memo: Dict[Tuple[int, int], int] = group._cache.setdefault("class_products", {})
-    mask = memo.get((i, j))
-    if mask is None:
-        kernel = _kernel_row(group, i)
-        keys, first = kernel.keys[i], j * len(data.reps)
-        lo = int(keys.searchsorted(first))
-        mask = 0
-        for l in (keys[lo : lo + kernel.eta[i, j]] - first).tolist():
-            mask |= data.masks[l]
-        memo[(i, j)] = mask
+    kernel = _kernel_row(group, i)
+    keys, first = kernel.keys[i], j * len(data.reps)
+    lo = int(keys.searchsorted(first))
+    mask = 0
+    for l in (keys[lo : lo + kernel.eta[i, j]] - first).tolist():
+        mask |= data.masks[l]
     return ElementSet(group, mask)
 
 
@@ -807,16 +800,8 @@ def _quotient_classes(group: FiniteGroup, n: ElementSet) -> Tuple[np.ndarray, np
 
 def is_prime_power(n: int) -> bool:
     """Whether n = p^k for a prime p, k >= 1; n = 1 counts (trivial p-group)."""
-    if n < 2:
-        return n == 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
+    p, e = next(_prime_powers(n), (1, 1))  # stops at the least prime; n < 2 yields none
+    return p**e == n
 
 
 def _is_two_power(size: "int | np.ndarray") -> "bool | np.ndarray":
@@ -824,48 +809,32 @@ def _is_two_power(size: "int | np.ndarray") -> "bool | np.ndarray":
     return (size > 1) & (size & (size - 1) == 0)
 
 
-def _element_orders(group: FiniteGroup) -> np.ndarray:
-    """The order of every element, by powering all of them at once."""
-    t = group.np_table()
-    orders = np.ones(group.order, dtype=np.int64)
-    pending = np.arange(1, group.order)
-    power = pending.copy()
-    k = 1
-    while pending.size:
-        k += 1
-        power = t[power, pending]
-        done = power == 0
-        orders[pending[done]] = k
-        pending, power = pending[~done], power[~done]
-    return orders
-
-
-def _commute(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether every element of x commutes with every element of y."""
-    return all(
-        np.array_equal(t[np.ix_(xs, y)], t[np.ix_(y, xs)].T)
-        for xs in (x[x0 : x0 + _BLOCK_ROWS] for x0 in range(0, len(x), _BLOCK_ROWS))
-    )
+def _powers(t: np.ndarray, k: int) -> np.ndarray:
+    """x^k for every element x, k >= 1, by binary powering of all elements at once."""
+    x = power = np.arange(len(t))
+    for bit in bin(k)[3:]:  # the bits below the leading one
+        power = t[power, power]
+        if bit == "1":
+            power = t[power, x]
+    return power
 
 
 def is_nilpotent(group: FiniteGroup) -> bool:
-    """Whether elements of coprime order commute.
+    """Whether every Sylow subgroup is normal.
 
-    A finite group is nilpotent exactly when it is the direct product of its
-    Sylow subgroups, that is, when elements of coprime order commute
-    (Isaacs, Finite Group Theory, ch. 1). Each coprime pair of element
-    orders is one block compare of the table against its transpose.
+    A finite group is nilpotent exactly when all its Sylow subgroups are
+    normal (Isaacs, Finite Group Theory, ch. 1). For q = p^e exactly
+    dividing n, the elements with x^q = 1 are the p-elements, the union of
+    the Sylow p-subgroups, so there are exactly q of them when the Sylow
+    p-subgroup is the only one, that is, normal. A p-group (q = n) passes
+    without powering.
     """
     cached = group._cache.get("is_nilpotent")
     if cached is None:
-        t = group.np_table()
-        orders = _element_orders(group)
-        values = np.flatnonzero(np.bincount(orders)).tolist()[1:]  # orders above 1
-        by_order = {v: np.flatnonzero(orders == v) for v in values}
+        t, n = group.np_table(), group.order
         cached = all(
-            _commute(t, by_order[p], by_order[q])
-            for p, q in combinations(by_order, 2)
-            if gcd(p, q) == 1
+            q == n or np.count_nonzero(_powers(t, q) == 0) == q
+            for q in (p**e for p, e in _prime_powers(n))
         )
         group._cache["is_nilpotent"] = cached
     return cached

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -27,15 +27,26 @@ from .group import (
 from .perm import Permutation
 
 
+def _prime_powers(n: int) -> Iterator[Tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n, in ascending p, by trial division.
+
+    Lazy: a caller that stops early pays only for the primes it reads.
+    """
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+        p += 1
+    if n > 1:  # what is left is prime
+        yield n, 1
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and next(_prime_powers(n)) == (n, 1)
 
 
 def _check_order(label: str, factors: Iterable[int], max_order: Optional[int]) -> None:
@@ -262,16 +273,7 @@ def odd_eta1_witness(n: int, max_order: Optional[int] = None) -> Tuple[FiniteGro
         g = cyclic(1, max_order=max_order)
         return g, Element(g, 0)
 
-    factors: Dict[int, int] = {}  # prime -> exponent, ascending
-    rest, p = n, 3
-    while rest > 1:
-        if p * p > rest:
-            p = rest  # what is left is prime
-        while rest % p == 0:
-            rest //= p
-            factors[p] = factors.get(p, 0) + 1
-        p += 2
-
+    factors = dict(_prime_powers(n))  # prime -> exponent, ascending
     blocks = tuple(GroupSpec("extraspecial_p3", f) for f in factors.items())
     group = (blocks[0] if len(blocks) == 1 else GroupSpec("direct_product", blocks)).build(max_order)
     witness = 0

@@ -10,6 +10,7 @@ tables match the coset loop kept here.
 
 import random
 
+import numpy as np
 import pytest
 
 import bruteforce as bf
@@ -32,7 +33,8 @@ from classprod import (
     normal_subgroups,
     quotient,
 )
-from classprod.group import Element
+from classprod.classalg import _powers
+from classprod.group import Element, FiniteGroup
 from classprod.scan import BUILTIN_SPECS
 from test_class_kernels import RELABELED, SMALL_SPECS, relabeled
 
@@ -150,10 +152,32 @@ def nilpotent_by_lower_central_series(g):
     return True
 
 
-@pytest.mark.parametrize("spec", BUILTIN_SPECS + PRODUCTS)
+def table_copy(spec):
+    """spec's group from a copy of its table alone: no generators, no factors."""
+    return FiniteGroup(build_group(spec).np_table().copy(), f"table:{spec}")
+
+
+# nilpotent with two primes; fails at p = 3 after p = 2 passes
+TABLE_COPIES = ("table:prod(dihedral:4,cyclic:3)", "table:prod(alt:4,cyclic:5)")
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS + PRODUCTS + TABLE_COPIES)
 def test_is_nilpotent_matches_lower_central_series(spec):
-    g = build_group(spec)
+    g = table_copy(spec.removeprefix("table:")) if spec in TABLE_COPIES else build_group(spec)
     assert is_nilpotent(g) == nilpotent_by_lower_central_series(g)
+
+
+def test_is_nilpotent_on_large_nilpotent_groups():
+    r = np.arange(4096)  # Z/4096 from its arithmetic: the closure of a 4096-cycle takes seconds
+    assert is_nilpotent(FiniteGroup((np.add.outer(r, r) % 4096).astype(np.int16), "cyclic:4096"))
+    assert is_nilpotent(build_group("prod(es:3,es:5)"))
+
+
+@pytest.mark.parametrize("spec", ["alt:4", "prod(dihedral:4,cyclic:3)", "es:3"])
+def test_powers_match_group_power(spec):
+    g = build_group(spec)
+    for k in (1, 2, 3, 4, 5, 12, 27, 125):
+        assert _powers(g.np_table(), k).tolist() == [g.power(x, k) for x in range(g.order)]
 
 
 # -- quotient --------------------------------------------------------------------
