@@ -234,7 +234,8 @@ def direct_product(
     ginv = np.asarray(g.inverse_table, dtype=np.int32)
     kinv = np.asarray(k.inverse_table, dtype=np.int32)
     inverse = (ginv[:, None] * ko + kinv[None, :]).reshape(-1)
-    names = [f"({g.name_of(x)},{k.name_of(y)})" for x in range(g.order) for y in range(ko)]
+    k_names = [k.name_of(y) for y in range(ko)]
+    names = [f"({g.name_of(x)},{y})" for x in range(g.order) for y in k_names]
     gen_indices = tuple(gi * ko for gi in g.generator_indices) + tuple(
         int(ki) for ki in k.generator_indices
     )

@@ -25,7 +25,7 @@ from .errors import (
     OrderExceeded,
     _shown,
 )
-from .perm import Permutation
+from .perm import Permutation, cycle_string_of
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "CLASSPROD_MAX_ORDER"
@@ -112,10 +112,13 @@ class FiniteGroup:
     either way NoInverse names the first a without one. Elements are
     ordered by construction: breadth-first discovery order for generator
     input, canonicalized table order (identity moved to the front) for raw
-    table input. Instances are treated as immutable; derived data such as
-    conjugacy classes is cached on first use under _cache, which classalg
-    alone fills, with ints, bools, numpy arrays and containers of those
-    only, so that no cached value refers back to a group.
+    table input. name_of(i) is the i-th of element_names, or str(i) when
+    there are none; a closure keeps its elements' images instead and makes
+    a name, their cycle string, only when one is read. Instances are
+    treated as immutable; derived data such as conjugacy classes is cached
+    on first use under _cache, which classalg alone fills, with ints,
+    bools, numpy arrays and containers of those only, so that no cached
+    value refers back to a group.
     """
 
     identity_index = 0
@@ -125,7 +128,8 @@ class FiniteGroup:
         "group_id",
         "table",
         "inverse_table",
-        "element_names",
+        "_names",
+        "_images",
         "named_elements",
         "generator_indices",
         "factors",
@@ -239,7 +243,8 @@ class FiniteGroup:
         self.inverse_table = list(inverse_table)
         if element_names is not None and len(element_names) != n:
             raise ValueError(f"expected {n} element names, got {len(element_names)}")
-        self.element_names = element_names
+        self._names = element_names
+        self._images: Optional[Tuple[str, bytes]] = None
         self.named_elements = dict(named_elements or {})
         for g in generator_indices:
             if not 0 <= g < n:
@@ -296,9 +301,22 @@ class FiniteGroup:
             yield Element(self, i)
 
     def name_of(self, index: int) -> str:
-        if self.element_names is not None:
-            return self.element_names[index]
+        if self._names is not None:
+            return self._names[index]
+        if self._images is not None:  # a closure's image rows: (typecode, bytes)
+            flat = memoryview(self._images[1]).cast(self._images[0])
+            d = len(flat) // self.order
+            return cycle_string_of(flat[index * d : index * d + d].tolist())
         return str(index)
+
+    @property
+    def element_names(self) -> Optional[List[str]]:
+        """Every element's name in index order, or None; a closure makes
+        them from its images, which it then frees, on the first read."""
+        if self._names is None and self._images is not None:
+            self._names = [self.name_of(i) for i in range(self.order)]
+            self._images = None
+        return self._names
 
     def np_table(self) -> np.ndarray:
         """self.table, the group's one read-only int16 array."""
@@ -413,14 +431,14 @@ def close_from_generators(
 ) -> FiniteGroup:
     """Breadth-first closure of permutation generators into a full group.
 
-    Discovery order is deterministic: the queue is seeded with the identity
-    and neighbors are produced by right multiplication in generator-list
-    order, so element indices depend only on the generator sequence.
+    Each level numbers its new products x_i * g_k in (i, k) order after the
+    identity, index 0. Elements are rows of 0-based images (int32 past degree
+    32768), keyed by their bytes in one dict, multiplied a block of rows at a time.
 
-    The search also records the Cayley graph: right[k][i] is the index of
-    elems[i] * gens[k], and element b was first reached as
-    elems[parent[b]] * gens[via[b]]. The table then follows one column at a
-    time, a * b = (a * parent[b]) * gens[via[b]], as a gather over all a.
+    The search records right[k][i], the index of x_i * g_k, and that a was first
+    reached as x_parent[a] * g_via[a]. A block of one level at a time, left[k][a]
+    (the index of g_k * a) is right[via[a]][left[k][parent[a]]], row a of the table
+    is row parent[a] read at left[via[a]], and a^-1 = g_via[a]^-1 * parent[a]^-1.
     """
     if not gens:
         raise InvalidPermutation("at least one generator is required")
@@ -430,39 +448,55 @@ def close_from_generators(
             raise InvalidPermutation(f"generators disagree on degree: {g.degree} vs {degree}")
     cap = max_order_cap(max_order)
 
-    identity = Permutation.identity(degree)
-    elems: List[Permutation] = [identity]
-    index: Dict[Tuple[int, ...], int] = {identity.images: 0}
+    dtype = np.int16 if degree <= TABLE_ORDER_LIMIT else np.int32
+    g_img = (np.array([g.images for g in gens], dtype=np.int64) - 1).astype(dtype)
+    m, width = len(gens), degree * g_img.itemsize
+    index: Dict[bytes, int] = {np.arange(degree, dtype=dtype).tobytes(): 0}
     parent, via = [0], [0]
     right: List[List[int]] = [[] for _ in gens]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        p = elems[i]
-        for k, g in enumerate(gens):
-            q = p * g
-            j = index.get(q.images)
-            if j is None:
-                if len(elems) >= cap:
-                    raise OrderExceeded(
-                        f"closure of {group_id!r} exceeds the order cap {cap}"
-                    )
-                j = index[q.images] = len(elems)
-                elems.append(q)
-                parent.append(i)
-                via.append(k)
-                queue.append(j)
-            right[k].append(j)
+    starts, level = [1], list(index)  # starts[i]: the first index of level i + 1
+    per_block = max(1, _BLOCK_ROWS // m)  # so a block of products has at most 64 rows
+    while level:
+        frontier = np.frombuffer(b"".join(level), dtype=dtype).reshape(len(level), degree)
+        first, level = starts[-1] - len(frontier), []
+        for r in range(0, len(frontier), per_block):
+            block = g_img[:, frontier[r : r + per_block]]  # block[k, i]: x_(first+r+i) * g_k
+            buf, rows = block.tobytes(), block.shape[1]
+            for i in range(rows):
+                for k in range(m):
+                    key = buf[(k * rows + i) * width : (k * rows + i + 1) * width]
+                    j = index.get(key)
+                    if j is None:
+                        if len(index) >= cap:
+                            raise OrderExceeded(f"closure of {group_id!r} exceeds the order cap {cap}")
+                        j = index[key] = len(index)
+                        parent.append(first + r + i)
+                        via.append(k)
+                        level.append(key)
+                    right[k].append(j)
+        starts.append(len(index))
 
-    n = len(elems)
-    steps = np.asarray(right, dtype=np.int16)
+    n = len(index)
+    gen_indices = tuple(index[row.tobytes()] for row in g_img)
+    images = ("h" if dtype is np.int16 else "i", b"".join(index))
+    del index, level
+    steps, parent, via = np.asarray(right, dtype=np.int16), np.asarray(parent), np.asarray(via)
+    blocks = [slice(r, min(r + _BLOCK_ROWS, hi))
+              for lo, hi in zip(starts, starts[1:]) for r in range(lo, hi, _BLOCK_ROWS)]
+    left = np.empty_like(steps)
+    left[:, 0] = gen_indices
+    for a in blocks:
+        left[:, a] = steps[via[a], left[:, parent[a]]]
+    back = np.argsort(left, axis=1).astype(np.int16)  # back[k][x]: the index of g_k^-1 * x
     t = np.empty((n, n), dtype=np.int16)
-    t[:, 0] = np.arange(n, dtype=np.int16)
-    for b in range(1, n):
-        t[:, b] = steps[via[b]][t[:, parent[b]]]
-    names = [p.cycle_string() for p in elems]
-    gen_indices = tuple(index[g.images] for g in gens)
-    return FiniteGroup(t, group_id, element_names=names, generator_indices=gen_indices)
+    t[0] = np.arange(n)
+    inverse = np.zeros(n, dtype=np.int16)
+    for a in blocks:
+        t[a] = t.take(parent[a, None] * n + left[via[a]])  # flat: faster than t[p, q]
+        inverse[a] = back[via[a], inverse[parent[a]]]
+    group = FiniteGroup(t, group_id, generator_indices=gen_indices, inverse_table=inverse)
+    group._images = images
+    return group
 
 
 # -- construction from a raw table --------------------------------------

@@ -95,27 +95,10 @@ class Permutation:
 
     def cycles(self) -> List[Tuple[int, ...]]:
         """Disjoint cycles, each starting at its least point, fixed points omitted."""
-        out: List[Tuple[int, ...]] = []
-        seen = [False] * self.degree
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            nxt = self.images[start - 1]
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self.images[nxt - 1]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
+        return cycles_of([x - 1 for x in self.images])
 
     def cycle_string(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
+        return cycle_string_of([x - 1 for x in self.images])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -125,3 +108,25 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation[{self.degree}] {self.cycle_string()}"
+
+
+def cycles_of(images: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The disjoint cycles of the bijection i -> images[i] on 0..len-1, in
+    1-based points, each from its least point, fixed points omitted."""
+    out: List[Tuple[int, ...]] = []
+    seen = bytearray(len(images))
+    for start, x in enumerate(images):
+        if seen[start] or x == start:
+            continue
+        cyc = [start + 1]
+        while x != start:
+            cyc.append(x + 1)
+            seen[x] = 1
+            x = images[x]
+        out.append(tuple(cyc))
+    return out
+
+
+def cycle_string_of(images: Sequence[int]) -> str:
+    """cycles_of(images) in cycle notation, '()' for the identity."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles_of(images)) or "()"

@@ -6,7 +6,7 @@ from the package, so an oracle and the operation it checks cannot share a
 bug. Quadratic and cubic loops are fine: oracle groups stay small.
 """
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 Rows = List[List[int]]
 
@@ -120,3 +120,28 @@ def element_order(rows: Rows, a: int) -> int:
         x = rows[x][a]
         k += 1
     return k
+
+
+def closure(gen_images: Sequence[Sequence[int]]) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """Breadth-first closure of permutations given as 1-based image tuples.
+
+    The identity comes first; each element in turn, in discovery order, is
+    multiplied on the right by each generator in list order, a product p*q
+    applying p first. Returns the elements' image tuples in discovery order
+    and each generator's index.
+    """
+    elems = [tuple(range(1, len(gen_images[0]) + 1))]
+    index = {elems[0]: 0}
+    for x in elems:  # the list grows while it is read: a queue in discovery order
+        for g in gen_images:
+            y = tuple(g[p - 1] for p in x)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    return elems, [index[tuple(g)] for g in gen_images]
+
+
+def permutation_table(elems: Sequence[Tuple[int, ...]]) -> Rows:
+    """The multiplication table of closure's elements over their indices."""
+    index = {x: i for i, x in enumerate(elems)}
+    return [[index[tuple(b[p - 1] for p in a)] for b in elems] for a in elems]
