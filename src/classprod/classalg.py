@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -173,6 +173,9 @@ class QuotientMap:
 # Rows per block of the centralizer compare and the set-product gather; a
 # boolean block is 1 MiB at the order cap, against 16 MiB for the whole table.
 _BLOCK_ROWS = 256
+# Entries per block of the class equations and kernel rows: 64 KiB as int64.
+# On es:3^2 blocks four times as large were no faster and traced 0.1 MiB more.
+_BLOCK_CELLS = 1 << 13
 
 
 def _mask_of(indices: np.ndarray, n: int) -> int:
@@ -202,10 +205,10 @@ def _conjugation(group: FiniteGroup, g: int) -> np.ndarray:
     return inv[r[inv[r]]]
 
 
-def _commutes_with(group: FiniteGroup, a: int) -> np.ndarray:
-    """a*g == g*a for every g, from two rows: g*a = inv[T[a^-1][inv[g]]]."""
+def _commutes_with(group: FiniteGroup, a: "int | np.ndarray") -> np.ndarray:
+    """a*g == g*a for every g, from two rows: g*a = inv[T[a^-1][inv[g]]]; one row per a if a is an array."""
     t, inv = group.np_table(), _inverse_array(group)
-    return t[a] == inv.take(t[inv[a]].take(inv))
+    return t[a] == inv.take(t[inv[a]].take(inv, axis=-1))
 
 
 def _orbit_minima(least: np.ndarray, perms: List[np.ndarray]) -> np.ndarray:
@@ -229,6 +232,9 @@ def _orbit_classes(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     first orbit too small, a g moving r out of it joins them, and the check
     resumes at r. Each such g lies outside H, so at most log2(n) join (Holt,
     Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1).
+    The equations are checked a block of orbits at a time; the block doubles
+    after each block that passes and is one orbit again after a join, which
+    would discard the rest of a wide block.
     Returns the class id of every element, and each class's least member
     and size.
     """
@@ -236,12 +242,15 @@ def _orbit_classes(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     perms = [_conjugation(group, g) for g in dict.fromkeys(group.generator_indices)]
     least = _orbit_minima(np.arange(n), perms)
     reps, sizes = np.flatnonzero(least == np.arange(n)), np.bincount(least, minlength=n)
-    i = 0
+    i, width, widest = 0, 1, max(1, _BLOCK_CELLS // n)
     while i < len(reps):
-        r = reps[i]
-        if sizes[r] * np.count_nonzero(_commutes_with(group, r)) == n:
-            i += 1
+        block = reps[i : i + width]
+        short = sizes[block] * np.count_nonzero(_commutes_with(group, block), axis=1) != n
+        if not short.any():
+            i, width = i + len(block), min(2 * width, widest)
             continue
+        i, width = i + int(np.argmax(short)), 1
+        r = reps[i]
         perms.append(_conjugation(group, int(np.argmax(least[_conjugates(group, r)] != r))))
         moved = least[perms[-1][r]]  # in a group, r^g lies outside the orbit and then joins it
         least = _orbit_minima(least, perms)
@@ -249,6 +258,14 @@ def _orbit_classes(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarr
             raise ValueError(f"table of {group.group_id!r} is not a group: conjugation fails at {r}")
         reps, sizes = np.flatnonzero(least == np.arange(n)), np.bincount(least, minlength=n)
     return np.searchsorted(reps, least), reps, sizes[reps]
+
+
+def _mixed_radix(digits: Iterable[Tuple[np.ndarray, int]]) -> np.ndarray:
+    """The digits of (x_1, ..., x_m) read in mixed radix, given each factor's (digits, radix)."""
+    out = np.zeros(1, dtype=np.int64)
+    for d, radix in digits:
+        out = (out[:, None] * radix + d).reshape(-1)
+    return out
 
 
 def _factor_classes(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -369,15 +386,22 @@ def centralizer(a: Element) -> ElementSet:
 def _centralizer_ids(group: FiniteGroup) -> np.ndarray:
     """An id for every element's centralizer, equal exactly when the centralizers
     are and numbered by least member: bit g of a packed row is set when a*g = g*a,
-    compared a block of rows at a time, and the row's bytes are its key."""
+    compared a block of rows at a time, and the row's bytes are its key.
+
+    C((h,k)) = C(h) x C(k), so a product takes its factors' ids in mixed
+    radix; they run in order of least members, as the factors' ids do.
+    """
     ids = group._cache.get("centralizer_ids")
     if ids is None:
-        n, t, seen = group.order, group.np_table(), {}
-        ids = np.empty(n, dtype=np.int64)
-        for a0 in range(0, n, _BLOCK_ROWS):
-            a1 = a0 + _BLOCK_ROWS  # slices stop at n
-            bits = np.packbits(t[a0:a1] == t[:, a0:a1].T, axis=1, bitorder="little")
-            ids[a0:a1] = [seen.setdefault(row.tobytes(), len(seen)) for row in bits]
+        if group.factors:
+            ids = _mixed_radix((c, int(c.max()) + 1) for c in map(_centralizer_ids, group.factors))
+        else:
+            n, t, seen = group.order, group.np_table(), {}
+            ids = np.empty(n, dtype=np.int64)
+            for a0 in range(0, n, _BLOCK_ROWS):
+                a1 = a0 + _BLOCK_ROWS  # slices stop at n
+                bits = np.packbits(t[a0:a1] == t[:, a0:a1].T, axis=1, bitorder="little")
+                ids[a0:a1] = [seen.setdefault(row.tobytes(), len(seen)) for row in bits]
         ids.setflags(write=False)
         group._cache["centralizer_ids"] = ids
     return ids
@@ -436,21 +460,29 @@ def commutator_set_ids(group: FiniteGroup) -> Tuple[np.ndarray, List[int]]:
 
     [x,G] = x^-1 x^G, so the sets of the members x of a class C are the rows
     of one gather T[inv[C]][:, C]; sorted, a row is its set's key across
-    all classes.
+    all classes. A product's sets are products of its factors' sets, so
+    its ids and holders are the factors' in mixed radix.
     """
     cached = group._cache.get("commutator_set_ids")
     if cached is None:
-        t, inv = group.np_table(), _inverse_array(group)
-        order, starts, sizes = _class_blocks(group)
-        ids = np.empty(group.order, dtype=np.int64)
-        seen: Dict[bytes, Tuple[int, int]] = {}  # set -> (its id, the first member seen)
-        for start, size in zip(starts.tolist(), sizes.tolist()):
-            members = order[start : start + size]
-            block = np.sort(t[inv[members][:, None], members], axis=1)
-            for x, row in zip(members.tolist(), block):
-                ids[x] = seen.setdefault(row.tobytes(), (len(seen), x))[0]
+        if group.factors:  # [(h,k),G] = [h,H] x [k,K]: the factors' ids and holders in mixed radix
+            parts = [commutator_set_ids(f) for f in group.factors]
+            ids = _mixed_radix((f_ids, len(f_holders)) for f_ids, f_holders in parts)
+            holders = _mixed_radix((np.array(h), f.order) for (_, h), f in zip(parts, group.factors))
+            cached = (ids, holders.tolist())
+        else:
+            t, inv = group.np_table(), _inverse_array(group)
+            order, starts, sizes = _class_blocks(group)
+            ids = np.empty(group.order, dtype=np.int64)
+            seen: Dict[bytes, Tuple[int, int]] = {}  # set -> (its id, the first member seen)
+            for start, size in zip(starts.tolist(), sizes.tolist()):
+                members = order[start : start + size]
+                block = np.sort(t[inv[members][:, None], members], axis=1)
+                for x, row in zip(members.tolist(), block):
+                    ids[x] = seen.setdefault(row.tobytes(), (len(seen), x))[0]
+            cached = (ids, [x for _, x in seen.values()])
         ids.setflags(write=False)
-        cached = group._cache["commutator_set_ids"] = (ids, [x for _, x in seen.values()])
+        group._cache["commutator_set_ids"] = cached
     return cached
 
 
@@ -488,10 +520,11 @@ def set_product(x: ElementSet, y: ElementSet) -> ElementSet:
 # a^G b^G is the union of the classes of a*y over y in b^G. For the
 # representative r of class i, the pairs (class of y, class of r*y) over all
 # y therefore give the class support of C_i C_j for every j at once: one
-# gather, class_id[T[r]], read as keys j*k + l, sorted and deduplicated.
-# Each row i is built on first use and kept as those keys, at most one per
-# element and O(n log n) to sort, whatever the number of classes k. (Class
-# multiplication coefficients: Holt, Eick and O'Brien, Handbook of
+# gather, class_id[T[r]], read as keys j*k + l < 2^30, sorted and
+# deduplicated. Rows are built a block of classes at a time, on the first
+# use of any row in the block, and each is kept as those keys: at most one
+# per element and O(n log n) to sort, whatever the number of classes k.
+# (Class multiplication coefficients: Holt, Eick and O'Brien, Handbook of
 # Computational Group Theory, 2005, section 7.)
 
 
@@ -501,18 +534,31 @@ class _ClassKernel(NamedTuple):
 
 
 def _kernel_row(group: FiniteGroup, i: int) -> _ClassKernel:
-    """The group's kernel with row i (the products C_i C_j) built."""
+    """The group's kernel with row i (the products C_i C_j) built, with its block."""
     data = _class_data(group)
     k = len(data.reps)
     kernel = group._cache.get("class_kernel")
     if kernel is None:
         kernel = group._cache["class_kernel"] = _ClassKernel(np.zeros((k, k), dtype=np.int32), [None] * k)
     if kernel.keys[i] is None:
-        cid = data.class_id
-        keys = np.sort(cid * k + cid[group.np_table()[data.reps[i]]])
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # np.r_ costs about 10 us a call
-        kernel.eta[i] = np.bincount(keys // k, minlength=k)
-        kernel.keys[i] = keys.astype(np.int32)
+        rows = max(1, _BLOCK_CELLS // group.order)
+        i0 = i - i % rows
+        cid = data.class_id.astype(np.int32)
+        block = cid.take(group.np_table()[data.reps[i0 : i0 + rows]])
+        # row r's keys are offset by r*k^2; rows*k^2 <= _BLOCK_CELLS*k, or k^2 for one row, is below 2^31
+        block += cid * k
+        block += (np.arange(len(block), dtype=np.int32) * (k * k))[:, None]
+        block.sort(axis=1)
+        block = block.reshape(-1)
+        fresh = np.empty(len(block), dtype=bool)  # flat: faster than the same steps on rows
+        fresh[0] = True
+        np.not_equal(block[1:], block[:-1], out=fresh[1:])
+        keys = block.compress(fresh)
+        eta = np.bincount(keys // k, minlength=len(block) // group.order * k).reshape(-1, k)  # (r*k + j)
+        keys %= k * k
+        ends = np.cumsum(eta.sum(axis=1)).tolist()
+        kernel.eta[i0 : i0 + len(eta)] = eta
+        kernel.keys[i0 : i0 + len(eta)] = [keys[a:b] for a, b in zip([0, *ends], ends)]
     return kernel
 
 

@@ -61,8 +61,9 @@ def resolve_element(group: FiniteGroup, text: str) -> Element:
         if key in group.named_elements:
             return Element(group, group.named_elements[key])
     for key in keys:
-        if key in (group.element_names or ()):
-            return Element(group, group.element_names.index(key))
+        i = group.index_of_name(key)
+        if i is not None:
+            return Element(group, i)
     if re.fullmatch(r"-?[0-9]+", s):
         idx = _selector_int(s, text)
         if not 0 <= idx < group.order:

@@ -309,6 +309,25 @@ class FiniteGroup:
             return cycle_string_of(flat[index * d : index * d + d].tolist())
         return str(index)
 
+    def index_of_name(self, name: str) -> Optional[int]:
+        """The index of the element named name, or None. A closure whose names
+        are not made reads name as a cycle string and finds its images among
+        the kept ones, so no other element is named."""
+        if self._images is None:
+            return self._names.index(name) if self._names is not None and name in self._names else None
+        typecode, raw = self._images
+        dtype = np.dtype(typecode)
+        try:
+            images = Permutation.parse(len(raw) // (self.order * dtype.itemsize), name).images
+        except InvalidPermutation:
+            return None
+        row = (np.array(images) - 1).astype(dtype).tobytes()
+        at = raw.find(row)
+        while at > 0 and at % len(row):  # a match across two rows
+            at = raw.find(row, at + 1)
+        i = at // len(row)
+        return i if at >= 0 and self.name_of(i) == name else None  # the name as written, not any cycle order
+
     @property
     def element_names(self) -> Optional[List[str]]:
         """Every element's name in index order, or None; a closure makes

@@ -26,6 +26,7 @@ from .classalg import (
     class_product,
     class_support_row,
     commutator_set,
+    commutator_set_ids,
     conjugacy_class,
     conjugacy_classes,
     decompose,
@@ -458,18 +459,21 @@ def _product_formula_pair(out: _Tally, group: FiniteGroup, a: int, b: int, holds
 
 
 def check_subgroup_implies_normal(group: FiniteGroup) -> VerifierReport:
-    """Every commutator set that is a subgroup must be a normal one."""
+    """Every commutator set that is a subgroup must be a normal one.
+
+    Each distinct set is decided once, and every c with that set, in index
+    order, takes its verdict.
+    """
+    ids, holders = commutator_set_ids(group)
+    sets = [commutator_set(Element(group, x)) for x in holders]
+    closed = np.array([is_subgroup(s) for s in sets])
+    abnormal = np.array([c and not is_normal(s) for c, s in zip(closed.tolist(), sets)])
     out = _Tally(group.order)
-    closed = 0
-    for c in range(group.order):
-        s = commutator_set(Element(group, c))
-        if not is_subgroup(s):
-            continue
-        closed += 1
-        if not is_normal(s):
-            out.fail({"c": c, "c_name": group.name_of(c), "comm_set": list(s)})
+    for c in np.flatnonzero(abnormal[ids]).tolist():
+        out.fail({"c": c, "c_name": group.name_of(c), "comm_set": list(sets[ids[c]])})
+    closed_count = np.count_nonzero(closed[ids])
     return out.report(
-        "subgroup-implies-normal", group, [f"{closed} of {group.order} commutator sets are subgroups"]
+        "subgroup-implies-normal", group, [f"{closed_count} of {group.order} commutator sets are subgroups"]
     )
 
 
@@ -763,8 +767,25 @@ def _agg_center_intersection(group: FiniteGroup) -> VerifierReport:
         return _vacuous(
             "center-intersection", group, f"even order {group.order}; hypothesis not met"
         )
-    pairs = [(group, cls.representative) for cls in conjugacy_classes(group)]
-    return _run("center-intersection", group, _center_intersection_pair, pairs)
+    # _center_intersection_pair for every class, read from the support of
+    # C_i C_i in kernel row i: the classes of the square, and which are central
+    data = _class_data(group)
+    eta, central = class_eta_matrix(group), data.sizes == 1
+    k = len(central)
+    out = _Tally(k)
+    for i, (a, size, count) in enumerate(zip(data.reps.tolist(), data.sizes.tolist(), eta.diagonal().tolist())):
+        row = class_support_row(group, i)
+        lo = int(row.searchsorted(i * k))
+        square = row[lo : lo + count] - i * k
+        singletons = data.reps[square[central[square]]].tolist()
+        if bool(singletons) != (size == 1):
+            out.fail({"a": a, "a_name": group.name_of(a), "class_size": size, "meets_center": bool(singletons)})
+        if size > 1:
+            if singletons:
+                out.clause("rider", "fails", {"a": a, "clause": "rider", "singleton_members": singletons})
+            else:
+                out.clause("rider", "holds")
+    return out.report("center-intersection", group)
 
 
 def _equal_centralizer_pairs_where(group: FiniteGroup, keep) -> List[Tuple[Element, Element]]:

@@ -4,6 +4,8 @@ import pytest
 
 from classprod import build_group
 from classprod.cli import main, resolve_element
+from classprod.group import close_from_generators
+from classprod.perm import Permutation
 
 
 def run(capsys, *argv):
@@ -50,6 +52,31 @@ class TestSelectors:
         assert g.name_of(resolve_element(g, "(1 2)").index) == "(1 2)"
         assert main(["product", "--group", "sym:3", "-a", " (1  2)", "-b", "(1 2)"]) == 2
         assert capsys.readouterr().err == "error: cannot resolve element selector ' (1  2)' in sym:3\n"
+
+    def test_index_and_word_selectors_make_no_names(self):
+        g = close_from_generators([Permutation.parse(64, "(" + " ".join(map(str, range(1, 65))) + ")")], "c64")
+        assert resolve_element(g, "5").index == 5
+        assert resolve_element(g, "g0^3").index == g.power(g.generator_indices[0], 3)
+        assert g._names is None
+
+    def test_cycle_selectors_are_found_among_the_images(self):
+        g = close_from_generators([Permutation.parse(64, "(" + " ".join(map(str, range(1, 65))) + ")")], "c64")
+        for i in (0, 1, 37, 63):
+            assert resolve_element(g, g.name_of(i)).index == i
+        rotated = "(" + " ".join(map(str, [*range(2, 65), 1])) + ")"  # the same element, not as named
+        with pytest.raises(ValueError, match="cannot resolve"):
+            resolve_element(g, rotated)
+        with pytest.raises(ValueError, match="cannot resolve"):
+            resolve_element(g, "(1 65)")
+        assert g._names is None
+        names = g.element_names  # once made, the names answer
+        assert [resolve_element(g, name).index for name in names] == list(range(64))
+        s4 = close_from_generators([Permutation.parse(4, "(1 2 3 4)"), Permutation.parse(4, "(1 2)")], "s4")
+        # some rows' bytes first occur across two rows, as (2 3 4) does in sym:4
+        assert [resolve_element(s4, s4.name_of(i)).index for i in range(24)] == list(range(24))
+        assert s4._names is None
+        wide = close_from_generators([Permutation.parse(40000, "(1 40000)")], "wide")  # int32 images
+        assert resolve_element(wide, "(1 40000)").index == 1 and wide._names is None
 
     def test_garbage_selector(self, groups):
         with pytest.raises(ValueError):

@@ -20,12 +20,15 @@ from classprod import cli, constructions
 from classprod import classalg
 from classprod.classalg import (
     ElementSet,
+    _centralizer_ids,
     _class_blocks,
     _factor_parts,
     center,
     class_id_array,
     commutator_set,
+    commutator_set_ids,
     conjugacy_classes,
+    equal_centralizer_arrays,
     is_normal,
     is_subgroup,
     subgroup_generated,
@@ -138,6 +141,41 @@ def test_commutator_sets_match_the_orbit_kernel_and_the_oracle(spec, sym3_file):
         assert got.mask == commutator_set(Element(ref, x)).mask, x
         if x in sampled:
             assert set(got) == bf.commutator_set(rows, x), x
+
+
+def oracle_centralizer_ids(g: FiniteGroup) -> list:
+    """Ids numbered by least member, equal exactly when bf.centralizer is."""
+    rows, first = g.np_table().tolist(), {}
+    return [first.setdefault(bf.centralizer(rows, x), len(first)) for x in range(g.order)]
+
+
+@pytest.mark.parametrize("spec", PRODUCTS)
+def test_centralizer_ids_come_from_the_factors(spec, sym3_file, fresh_builds):
+    g = product(spec, sym3_file)
+    ids = _centralizer_ids(g)
+    equal_centralizer_arrays(g)
+    assert not table_filled(g)
+    assert ids.tolist() == oracle_centralizer_ids(g)
+    np.testing.assert_array_equal(ids, _centralizer_ids(orbit_copy(g)))
+
+
+def test_a_fault_in_a_factors_centralizer_ids_reaches_the_product(sym3_file, fresh_builds):
+    g = product("prod(sym:3,FILE)", sym3_file)
+    faulty = _centralizer_ids(g.factors[1]).copy()
+    faulty[faulty == faulty.max()] = 0  # one centralizer merged into the first
+    g.factors[1]._cache["centralizer_ids"] = faulty
+    assert _centralizer_ids(g).tolist() != oracle_centralizer_ids(g)
+
+
+@pytest.mark.parametrize("spec", PRODUCTS)
+def test_commutator_set_ids_come_from_the_factors(spec, sym3_file, fresh_builds):
+    g = product(spec, sym3_file)
+    ids, holders = commutator_set_ids(g)
+    assert not table_filled(g)
+    sets = [commutator_set(Element(g, x)).mask for x in range(g.order)]
+    assert [sets[h] for h in holders] == list(dict.fromkeys(sets[h] for h in holders))  # one holder per set
+    assert all(sets[x] == sets[holders[i]] for x, i in enumerate(ids.tolist()))
+    assert len(holders) == len(set(sets))
 
 
 @pytest.mark.parametrize("spec", PRODUCTS)
