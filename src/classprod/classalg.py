@@ -15,8 +15,9 @@ harmless.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,11 +63,7 @@ class ElementSet:
         return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return _indices(self.mask)
 
     def __contains__(self, item) -> bool:
         i = item.index if isinstance(item, Element) else item
@@ -185,6 +182,14 @@ def _mask_of(indices: np.ndarray, n: int) -> int:
     return int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
 
 
+def _indices(mask: int) -> Iterator[int]:
+    """The set bits of a bitmask, ascending: the inverse of _mask_of."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _inverse_array(group: FiniteGroup) -> np.ndarray:
     inv = group._cache.get("np_inverse")
     if inv is None:
@@ -275,13 +280,10 @@ def _factor_classes(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndar
     in mixed radix. Its least member is built from the factors' least
     members, so class ids still run in the order of least members.
     """
-    class_id, reps, sizes = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
-    for f in group.factors:
-        data = _class_data(f)
-        class_id = (class_id[:, None] * len(data.reps) + data.class_id).reshape(-1)
-        reps = (reps[:, None] * f.order + data.reps).reshape(-1)
-        sizes = (sizes[:, None] * data.sizes).reshape(-1)
-    return class_id, reps, sizes
+    data = [_class_data(f) for f in group.factors]
+    class_id = _mixed_radix((d.class_id, len(d.reps)) for d in data)
+    reps = _mixed_radix((d.reps, f.order) for d, f in zip(data, group.factors))
+    return class_id, reps, np.bincount(class_id)
 
 
 def _factor_parts(s: "ElementSet") -> Optional[List["ElementSet"]]:
@@ -303,14 +305,13 @@ def _factor_parts(s: "ElementSet") -> Optional[List["ElementSet"]]:
 
 
 class _ClassData(NamedTuple):
-    """A group's class record: read-only arrays, in class order, and one mask per class."""
+    """A group's class record: read-only arrays, in class order."""
 
     reps: np.ndarray  # each class's least member
     class_id: np.ndarray  # the class id of every element
     order: np.ndarray  # every element, listed class by class, in index order within a class
     starts: np.ndarray  # the start of each class's block in order
     sizes: np.ndarray  # the size of each class
-    masks: Tuple[int, ...]  # each class as an element mask
 
 
 def _class_data(group: FiniteGroup) -> _ClassData:
@@ -318,24 +319,47 @@ def _class_data(group: FiniteGroup) -> _ClassData:
     cached = group._cache.get("class_data")
     if cached is not None:
         return cached
-    n = group.order
-    if group.factors:
-        class_id, reps, sizes = _factor_classes(group)
-    else:
-        class_id, reps, sizes = _orbit_classes(group)
+    class_id, reps, sizes = (_factor_classes if group.factors else _orbit_classes)(group)
     order = np.argsort(class_id, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    masks = tuple(_mask_of(order[s : s + c], n) for s, c in zip(starts.tolist(), sizes.tolist()))
-    data = _ClassData(reps, class_id, order, starts, sizes, masks)
-    for arr in data[:5]:
+    data = _ClassData(reps, class_id, order, np.cumsum(sizes) - sizes, sizes)
+    for arr in data:
         arr.setflags(write=False)
     group._cache["class_data"] = data
     return data
 
 
-def _conjugacy_class(group: FiniteGroup, i: int) -> ConjugacyClass:
+def _bits(masks: Sequence[int], width: int) -> np.ndarray:
+    """The bool matrix of int masks below 2^width, one row per mask."""
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), size), axis=1, count=width, bitorder="little").view(bool)
+
+
+def _masks(rows: np.ndarray) -> List[int]:
+    """Each row of a bool matrix as an int mask: the inverse of _bits."""
+    return [int.from_bytes(r.tobytes(), "little") for r in np.packbits(rows, axis=1, bitorder="little")]
+
+
+def _element_sets(group: FiniteGroup, sets: Sequence[int]) -> List["ElementSet"]:
+    """The elements of each class set, an int with bit j set for class j, 256 sets at
+    a time: only the public API turns the normal structure's class sets into elements."""
     data = _class_data(group)
-    return ConjugacyClass(Element(group, int(data.reps[i])), ElementSet(group, data.masks[i]))
+    blocks = (_bits(sets[s0 : s0 + _BLOCK_ROWS], len(data.reps)) for s0 in range(0, len(sets), _BLOCK_ROWS))
+    return [ElementSet(group, m) for block in blocks for m in _masks(block.take(data.class_id, axis=1))]
+
+
+def _order_of(group: FiniteGroup) -> Callable[[int], int]:
+    """The order of a class set: per class size, the size times the classes of that size in it."""
+    planes: Dict[int, int] = {}  # each class size, and the classes of that size
+    for j, z in enumerate(_class_data(group).sizes.tolist()):
+        planes[z] = planes.get(z, 0) | 1 << j
+    return lambda s: sum(z * (s & p).bit_count() for z, p in planes.items())
+
+
+def _conjugacy_classes(group: FiniteGroup, ids: Sequence[int]) -> Tuple[ConjugacyClass, ...]:
+    reps = _class_data(group).reps[list(ids)].tolist()
+    carriers = _element_sets(group, [1 << i for i in ids])
+    return tuple(ConjugacyClass(Element(group, r), c) for r, c in zip(reps, carriers))
 
 
 def class_id_array(group: FiniteGroup) -> np.ndarray:
@@ -345,21 +369,7 @@ def class_id_array(group: FiniteGroup) -> np.ndarray:
 
 def _member_array(x: "ElementSet") -> np.ndarray:
     """The membership vector of x: a bool array over the group's elements."""
-    n = x.group.order
-    raw = np.frombuffer(x.mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
-
-
-def _class_counts(x: "ElementSet") -> Tuple[np.ndarray, np.ndarray]:
-    """x's membership vector, and how many members x has in each class."""
-    data = _class_data(x.group)
-    member = _member_array(x)
-    return member, np.bincount(data.class_id[member], minlength=len(data.reps))
-
-
-def _class_blocks(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The order, starts and sizes of the class record."""
-    return _class_data(group)[2:5]
+    return _bits([x.mask], x.group.order)[0]
 
 
 def conjugacy_classes(group: FiniteGroup) -> Tuple[ConjugacyClass, ...]:
@@ -367,7 +377,7 @@ def conjugacy_classes(group: FiniteGroup) -> Tuple[ConjugacyClass, ...]:
 
     Each call builds a fresh tuple, equal to the last, from the cached class record.
     """
-    return tuple(_conjugacy_class(group, i) for i in range(len(_class_data(group).reps)))
+    return _conjugacy_classes(group, range(len(_class_data(group).reps)))
 
 
 def class_id_of(a: Element) -> int:
@@ -375,7 +385,7 @@ def class_id_of(a: Element) -> int:
 
 
 def conjugacy_class(a: Element) -> ConjugacyClass:
-    return _conjugacy_class(a.group, _class_data(a.group).class_id[a.index])
+    return _conjugacy_classes(a.group, [class_id_of(a)])[0]
 
 
 def centralizer(a: Element) -> ElementSet:
@@ -445,11 +455,9 @@ def commutator_set(a: Element) -> ElementSet:
                 mask *= sum(1 << (y * width) for y in commutator_set(Element(f, x)))
                 width *= f.order
         else:
-            data = _class_data(group)
-            i = data.class_id[a.index]
+            data, i = _class_data(group), class_id_of(a)
             members = data.order[data.starts[i] : data.starts[i] + data.sizes[i]]
-            commutators = group.np_table()[group.inverse_table[a.index], members]
-            mask = _mask_of(commutators, group.order)
+            mask = _mask_of(group.np_table()[group.inverse_table[a.index], members], group.order)
         memo[a.index] = mask
     return ElementSet(group, mask)
 
@@ -472,7 +480,7 @@ def commutator_set_ids(group: FiniteGroup) -> Tuple[np.ndarray, List[int]]:
             cached = (ids, holders.tolist())
         else:
             t, inv = group.np_table(), _inverse_array(group)
-            order, starts, sizes = _class_blocks(group)
+            _, _, order, starts, sizes = _class_data(group)
             ids = np.empty(group.order, dtype=np.int64)
             seen: Dict[bytes, Tuple[int, int]] = {}  # set -> (its id, the first member seen)
             for start, size in zip(starts.tolist(), sizes.tolist()):
@@ -488,8 +496,7 @@ def commutator_set_ids(group: FiniteGroup) -> Tuple[np.ndarray, List[int]]:
 
 def center(group: FiniteGroup) -> ElementSet:
     """Elements commuting with everything: the union of the one-element classes."""
-    data = _class_data(group)
-    return ElementSet(group, _mask_of(data.sizes[data.class_id] == 1, group.order))
+    return _element_sets(group, _masks(_class_data(group).sizes[None] == 1))[0]
 
 
 def is_abelian(group: FiniteGroup) -> bool:
@@ -578,7 +585,7 @@ def class_eta_matrix(group: FiniteGroup) -> np.ndarray:
 
 
 def class_product(a: Element, b: Element) -> ElementSet:
-    """a^G * b^G, the union of the class masks in the pair's support row."""
+    """a^G * b^G, the union of the classes in the pair's support row."""
     _require_same_group(a, b)
     group = a.group
     data = _class_data(group)
@@ -586,10 +593,7 @@ def class_product(a: Element, b: Element) -> ElementSet:
     kernel = _kernel_row(group, i)
     keys, first = kernel.keys[i], j * len(data.reps)
     lo = int(keys.searchsorted(first))
-    mask = 0
-    for l in (keys[lo : lo + kernel.eta[i, j]] - first).tolist():
-        mask |= data.masks[l]
-    return ElementSet(group, mask)
+    return _element_sets(group, [_mask_of(keys[lo : lo + kernel.eta[i, j]] - first, len(data.reps))])[0]
 
 
 def decompose(x: ElementSet) -> ClassDecomposition:
@@ -600,14 +604,14 @@ def decompose(x: ElementSet) -> ClassDecomposition:
     least conjugator that moves it out.
     """
     group = x.group
-    data = _class_data(group)
-    member, counts = _class_counts(x)
+    data, member = _class_data(group), _member_array(x)
+    counts = np.bincount(data.class_id[member], minlength=len(data.reps))
     partial = (counts > 0) & (counts < data.sizes)
     if partial.any():
         i = int(np.argmax(member & partial[data.class_id]))
         g = int(np.argmin(member[_conjugates(group, i)]))
         raise NotInvariant(i, g)
-    parts = tuple(_conjugacy_class(group, c) for c in np.flatnonzero(counts).tolist())
+    parts = _conjugacy_classes(group, np.flatnonzero(counts).tolist())
     return ClassDecomposition(source=x, classes=parts)
 
 
@@ -650,8 +654,9 @@ def is_normal(s: ElementSet) -> bool:
     memo: Dict[int, bool] = s.group._cache.setdefault("is_normal_memo", {})
     verdict = memo.get(s.mask)
     if verdict is None:
-        counts = _class_counts(s)[1]
-        verdict = memo[s.mask] = bool(np.all((counts == 0) | (counts == _class_data(s.group).sizes)))
+        data = _class_data(s.group)
+        counts = np.bincount(data.class_id[_member_array(s)], minlength=len(data.reps))
+        verdict = memo[s.mask] = bool(np.all((counts == 0) | (counts == data.sizes)))
     return verdict
 
 
@@ -693,13 +698,13 @@ def _theorem_a_criterion(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> Tu
 
 # -- normal subgroups ------------------------------------------------------
 #
-# A normal subgroup is the join of the closures of the classes it contains,
-# and the join of normal N and M is the product set NM: one closure per class
-# gives the rest by products (A. Hulpke, "Computing normal subgroups", 1998).
+# A normal subgroup is a class set, the join of the closures of its classes, and
+# the join NM of normal N and M holds the classes of x*r_j, x in N and j a class
+# of M (A. Hulpke, "Computing normal subgroups", 1998).
 
 
 def _closure_masks(group: FiniteGroup, sq: np.ndarray) -> Iterator[int]:
-    """The masks of the subgroups the classes generate; sq[j] is the class of r_j^2.
+    """The class sets of the subgroups the classes generate; sq[j] is the class of r_j^2.
 
     <C_i> is a union of classes: reached[b*k + j] says C_j lies in <C_(i0 + b)>.
     For each new key a round adds the classes of C_j * r_i (those of C_j C_i) and of
@@ -719,125 +724,119 @@ def _closure_masks(group: FiniteGroup, sq: np.ndarray) -> Iterator[int]:
             keys = np.concatenate((b[pair] * k + cid[t[member, data.reps[i0 + b[pair]]]], b * k + sq[j]))
             keys = np.sort(keys[~reached[keys]])  # distinct by sort and compare: np.unique imports numpy.ma
             keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
-        bits = np.packbits(reached.reshape(-1, k)[:, cid], axis=1, bitorder="little")
-        yield from (int.from_bytes(row.tobytes(), "little") for row in bits)
+        yield from _masks(reached.reshape(-1, k))
 
 
 def _class_closures(group: FiniteGroup) -> Tuple[int, ...]:
-    """The element mask of the normal closure of every class, in class order."""
-    cached = group._cache.get("class_closures")
-    if cached is None:
+    """The class set of the normal closure of every class, in class order."""
+    if "class_closures" not in group._cache:
         data = _class_data(group)
         sq = data.class_id[group.np_table()[data.reps, data.reps]]
-        cached = group._cache["class_closures"] = tuple(_closure_masks(group, sq))
-    return cached
+        group._cache["class_closures"] = tuple(_closure_masks(group, sq))
+    return group._cache["class_closures"]
 
 
-def _product(group: FiniteGroup, x: int, y: int) -> int:
-    """The mask of XY for normal subgroups X and Y: their join, or the larger if nested."""
-    if x & ~y == 0 or y & ~x == 0:
-        return x | y
-    return set_product(ElementSet(group, x), ElementSet(group, y)).mask
+def _joins(group: FiniteGroup, n: int, ms: np.ndarray) -> List[int]:
+    """NM for the normal class set n and each normal M, a bool row of ms: the classes of
+    x*r_j over x in N and the classes j of M, gathered for 256 such j at a time."""
+    data = _class_data(group)
+    t, cid, k = group.np_table(), data.class_id, len(data.reps)
+    xs, used = np.flatnonzero(_bits([n], k)[0][cid]), np.flatnonzero(ms.any(axis=0))
+    joined = np.zeros((len(ms), k), dtype=np.float32)
+    for j0 in range(0, len(used), _BLOCK_ROWS):
+        js = used[j0 : j0 + _BLOCK_ROWS]
+        support = np.zeros((len(js), k), dtype=np.float32)
+        for x0 in range(0, len(xs), _BLOCK_ROWS):
+            support[np.arange(len(js)), cid[t[xs[x0 : x0 + _BLOCK_ROWS, None], data.reps[js]]]] = 1
+        joined += ms[:, js].astype(np.float32) @ support
+    return _masks(joined > 0)
 
 
-def _by_order_and_members(group: FiniteGroup, masks) -> Tuple[int, ...]:
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), ElementSet(group, m).members)))
+def _by_order_and_members(group: FiniteGroup, sets: Iterable[int]) -> Tuple[int, ...]:
+    """Sorted by (order, member tuple): classes run by least member, so class ids compare as members do."""
+    order = _order_of(group)
+    return tuple(sorted(sets, key=lambda s: (order(s), tuple(_indices(s)))))
 
 
 def normal_closure(a: Element) -> ElementSet:
     """Least normal subgroup containing a: the subgroup generated by a's class."""
-    return ElementSet(a.group, _class_closures(a.group)[class_id_of(a)])
+    return _element_sets(a.group, [_class_closures(a.group)[class_id_of(a)]])[0]
 
 
 def normal_subgroups(group: FiniteGroup) -> Tuple[ElementSet, ...]:
-    """All normal subgroups: the products of class closures."""
-    cached = group._cache.get("normal_subgroups")
-    if cached is None:
-        closures = set(_class_closures(group))
-        found = set(closures)
-        worklist = list(found)
+    """All normal subgroups: the joins of class closures, 256 closures at a time."""
+    if "normal_subgroups" not in group._cache:
+        closures = list(dict.fromkeys(_class_closures(group)))
+        rows, found, worklist = _bits(closures, len(_class_data(group).reps)), set(closures), closures[:]
         while worklist:
-            m = worklist.pop()
-            for other in closures:
-                joined = _product(group, m, other)
-                if joined not in found:
-                    found.add(joined)
-                    worklist.append(joined)
-        cached = group._cache["normal_subgroups"] = _by_order_and_members(group, found)
-    return tuple(ElementSet(group, m) for m in cached)
+            n = worklist.pop()
+            for c0 in range(0, len(rows), _BLOCK_ROWS):
+                fresh = set(_joins(group, n, rows[c0 : c0 + _BLOCK_ROWS])) - found
+                found |= fresh
+                worklist += fresh
+        group._cache["normal_subgroups"] = _by_order_and_members(group, found)
+    return tuple(_element_sets(group, group._cache["normal_subgroups"]))
 
 
 def minimal_normal_subgroups(group: FiniteGroup) -> List[ElementSet]:
-    """Nontrivial normal subgroups minimal under inclusion: minimal class closures.
-
-    Sorted by (order, member tuple). Raises TrivialGroup on the one-element
-    group, which has none.
-    """
+    """Nontrivial normal subgroups minimal under inclusion, the minimal class closures, sorted
+    by (order, member tuple); TrivialGroup on the one-element group, which has none."""
     if group.order == 1:
         raise TrivialGroup("the trivial group has no minimal normal subgroups")
-    cached = group._cache.get("minimal_normals")
-    if cached is None:
-        closures = _class_closures(group)
-        sizes = [m.bit_count() for m in closures]
-        size_of = np.array(sizes)[class_id_array(group)]  # the closure order of each element
-        # M is minimal when every member but the identity (bit 0) generates all of M
-        fills = {s: _mask_of(size_of == s, group.order) for s in set(sizes)}
-        minimal = {m for m, s in zip(closures[1:], sizes[1:]) if m & ~fills[s] == 1}
-        cached = group._cache["minimal_normals"] = _by_order_and_members(group, minimal)
-    return [ElementSet(group, m) for m in cached]
+    if "minimal_normals" not in group._cache:
+        # M is minimal when every class in M but the identity's has M for closure
+        generating = Counter(_class_closures(group)[1:])
+        minimal = [m for m, count in generating.items() if count == m.bit_count() - 1]
+        group._cache["minimal_normals"] = _by_order_and_members(group, minimal)
+    return _element_sets(group, group._cache["minimal_normals"])
 
 
 # -- quotients -------------------------------------------------------------
 
 
-def quotient(group: FiniteGroup, n: ElementSet) -> QuotientMap:
-    """G/N for a normal subgroup N, cosets ordered by least member.
-
-    The identity coset is N itself and lands at index 0. G/N takes its
-    inverses and generators from G's: the inverse of coset xN is x^-1 N,
-    and the distinct nonidentity cosets of G's generators generate G/N.
-    G/{e} is its own group on G's table, shared with no copy.
-    """
+def _coset_group(group: FiniteGroup, n: ElementSet, named: bool = False) -> Tuple[FiniteGroup, np.ndarray]:
+    """G/N as quotient() makes it, with no names unless named, and the coset of every element."""
     if n.group is not group:
         raise GroupMismatch(f"subgroup of {n.group_id!r} used with {group.group_id!r}")
     if not is_normal(n):
         raise NotNormal(f"not a normal subgroup of {group.group_id!r}: {sorted(n)}")
     t = group.np_table()
     members = np.flatnonzero(_member_array(n))
-    if len(members) == 1:
-        reps = coset_id = np.arange(group.order, dtype=np.int16)
-    else:
-        least = np.full(group.order, group.order)  # least member of each coset xN
-        for s0 in range(0, len(members), _BLOCK_ROWS):
-            np.minimum(least, t[:, members[s0 : s0 + _BLOCK_ROWS]].min(axis=1), out=least)
-        reps = np.flatnonzero(least == np.arange(group.order))
-        coset_id = np.empty(group.order, dtype=np.int16)
-        coset_id[reps] = np.arange(len(reps))
-        coset_id = coset_id[least]
+    least = np.arange(group.order)  # the least member of each coset xN
+    for s0 in range(0, len(members), _BLOCK_ROWS):
+        np.minimum(least, t[:, members[s0 : s0 + _BLOCK_ROWS]].min(axis=1), out=least)
+    reps = np.flatnonzero(least == np.arange(group.order))
+    coset_id = np.searchsorted(reps, least).astype(np.int16)
     inverse = coset_id[np.asarray(group.inverse_table)[reps]]
     gens = tuple(dict.fromkeys(c for c in coset_id[list(group.generator_indices)].tolist() if c))
-    names = [f"[{group.name_of(r)}]" for r in reps.tolist()]
-    smallest = int(members[1]) if len(members) > 1 else 0
-    qid = f"{group.group_id}/N{len(members)}m{smallest}"
+    names = [f"[{group.name_of(r)}]" for r in reps.tolist()] if named else None
+    qid = f"{group.group_id}/N{len(members)}m{members[1] if len(members) > 1 else 0}"
     if len(members) == 1:
-        q = FiniteGroup._on_table_of(group, qid, names, gens, inverse)
-    else:
-        qtable = coset_id[t[np.ix_(reps, reps)]]
-        q = FiniteGroup(qtable, qid, element_names=names, generator_indices=gens, inverse_table=inverse)
+        return FiniteGroup._on_table_of(group, qid, names, gens, inverse), coset_id
+    q = FiniteGroup(coset_id[t[np.ix_(reps, reps)]], qid, names, generator_indices=gens, inverse_table=inverse)
+    return q, coset_id
+
+
+def quotient(group: FiniteGroup, n: ElementSet) -> QuotientMap:
+    """G/N for a normal subgroup N, cosets ordered by least member, coset xN named [x].
+
+    The identity coset is N itself and lands at index 0. G/N takes its
+    inverses and generators from G's: the inverse of coset xN is x^-1 N,
+    and the distinct nonidentity cosets of G's generators generate G/N.
+    G/{e} is its own group on G's table, shared with no copy.
+    """
+    q, coset_id = _coset_group(group, n, named=True)
     return QuotientMap(source=group, quotient=q, projection=tuple(coset_id.tolist()), kernel=n)
 
 
 def _quotient_classes(group: FiniteGroup, n: ElementSet) -> Tuple[np.ndarray, np.ndarray]:
-    """The class in G/N of every element of G, as int16, and the eta matrix of G/N.
-
-    Only these arrays are kept, for the last N asked; G/N itself is freed
-    on return, before any other quotient is built.
-    """
+    """The class in G/N of every element of G, as int16, and the eta matrix of G/N; G/N has no
+    names and no projection. Only these are kept, for the last N asked: G/N is freed at once."""
     memo = group._cache.get("last_quotient")  # (kernel mask, classes, eta): one entry
     if memo is None or memo[0] != n.mask or n.group is not group:
-        qm = quotient(group, n)
-        classes = class_id_array(qm.quotient).astype(np.int16)[np.asarray(qm.projection)]
-        memo = group._cache["last_quotient"] = (n.mask, classes, class_eta_matrix(qm.quotient))
+        q, coset_id = _coset_group(group, n)
+        classes = class_id_array(q).astype(np.int16)[coset_id]
+        memo = group._cache["last_quotient"] = (n.mask, classes, class_eta_matrix(q))
     return memo[1], memo[2]
 
 
@@ -889,35 +888,34 @@ def is_nilpotent(group: FiniteGroup) -> bool:
 def is_supersolvable(group: FiniteGroup, tie_break: Optional[random.Random] = None) -> bool:
     """Whether one chief series (hence any) has all factors of prime order.
 
-    The series stays inside G. Over the current term N, the next term is
-    NM for a class closure M not inside N of least index |NM : N| =
-    |M| / |M & N|, read from popcounts; such an NM is minimal normal over
-    N. The canonical M is the first in class order, whose NM is the least
-    by (order, members); a random tie_break picks among those M instead,
-    which by Jordan-Hoelder must not change the verdict.
+    The series stays inside G, as class sets. Over the current term N, the
+    next term is NM for a class closure M not inside N of least index
+    |NM : N| = |M| / |M & N|, read from class sizes; such an NM is minimal
+    normal over N. The canonical M is the first in class order, whose NM is
+    the least by (order, members); a random tie_break picks among those M
+    instead, which by Jordan-Hoelder must not change the verdict.
     """
-    if tie_break is None:
-        cached = group._cache.get("is_supersolvable")
-        if cached is not None:
-            return cached
-    closures = _class_closures(group)
-    full = (1 << group.order) - 1
-    current = 1
-    while current != full:
-        index = {m: m.bit_count() // (m & current).bit_count() for m in closures if m & ~current}
+    if tie_break is None and "is_supersolvable" in group._cache:
+        return group._cache["is_supersolvable"]
+    order, k = _order_of(group), len(_class_data(group).reps)
+    sizes = {m: order(m) for m in _class_closures(group)}  # distinct, in class order
+    current, reached = 1, 1  # N and |N|
+    while reached < group.order:
+        index = {m: size // order(m & current) for m, size in sizes.items() if m & ~current}
         least = min(index.values())
         if not _is_prime(least):
             break
-        choices = [m for m, i in index.items() if i == least]  # in class order
+        choices = [m for m, i in index.items() if i == least]
         chosen = tie_break.choice(choices) if tie_break is not None else choices[0]
-        current = _product(group, current, chosen)
-    verdict = current == full
+        reached *= least  # |NM|, and NM is G once that is |G|
+        if reached < group.order:
+            current = _joins(group, current, _bits([chosen], k))[0] if current & ~chosen else chosen
     if tie_break is None:
-        group._cache["is_supersolvable"] = verdict
-    return verdict
+        group._cache["is_supersolvable"] = reached == group.order
+    return reached == group.order
 
 
 def is_simple_nonabelian(group: FiniteGroup) -> bool:
-    """Nonabelian, and every nonidentity class generates the whole group."""
-    full = (1 << group.order) - 1
+    """Nonabelian, and every nonidentity class generates the whole group: all k classes."""
+    full = (1 << len(_class_data(group).reps)) - 1
     return not is_abelian(group) and all(m == full for m in _class_closures(group)[1:])

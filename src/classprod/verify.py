@@ -40,7 +40,6 @@ from .classalg import (
     is_supersolvable,
     normal_subgroups,
     minimal_normal_subgroups,
-    _class_blocks,
     _class_data,
     _commutes_with,
     _inverse_array,
@@ -372,7 +371,7 @@ def _product_formula_rhs(group: FiniteGroup, a: int,
     owner[r]; the rows of pair p are the members of [b[p],G] in turn.
     """
     t, inv, cid = group.np_table(), _inverse_array(group), class_id_array(group)
-    order, starts, sizes = _class_blocks(group)
+    _, _, order, starts, sizes = _class_data(group)
     i, j = cid[a], cid[b]
     a_b = t[t[inv[b], a], b]
     left = t[t[a, b][:, None], t[inv[a_b][:, None], order[starts[i] : starts[i] + sizes[i]]]]
@@ -392,7 +391,7 @@ def _product_formula_holds(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> 
     classes it meets are the support, each whole.
     """
     n, cid = group.order, class_id_array(group)
-    sizes = _class_blocks(group)[2]
+    sizes = _class_data(group).sizes
     k = len(sizes)
     holds = np.empty(len(a), dtype=bool)
     bounds = [0, *(np.flatnonzero(a[1:] != a[:-1]) + 1).tolist(), len(a)]

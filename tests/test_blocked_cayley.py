@@ -168,7 +168,7 @@ def test_build_counts_classes_from_the_class_record(monkeypatch, capsys):
     def no_objects(*args):
         raise AssertionError("build made a ConjugacyClass")
 
-    monkeypatch.setattr(classalg, "_conjugacy_class", no_objects)
+    monkeypatch.setattr(classalg, "_conjugacy_classes", no_objects)
     assert cli.main(["build", "--group", "prod(cyclic:64,cyclic:64)"]) == 0
     assert capsys.readouterr().out == (
         "prod(cyclic:64,cyclic:64): order 4096, 4096 classes, center of size 4096\n"

@@ -21,7 +21,7 @@ from classprod import classalg
 from classprod.classalg import (
     ElementSet,
     _centralizer_ids,
-    _class_blocks,
+    _class_data,
     _factor_parts,
     center,
     class_id_array,
@@ -121,7 +121,7 @@ def test_class_data_matches_the_orbit_kernel_and_the_oracle(spec, sym3_file):
     g = product(spec, sym3_file)
     ref = orbit_copy(g)
     np.testing.assert_array_equal(class_id_array(g), class_id_array(ref))
-    for got, want in zip(_class_blocks(g), _class_blocks(ref)):
+    for got, want in zip(_class_data(g)[2:], _class_data(ref)[2:]):
         np.testing.assert_array_equal(got, want)
     got = [(c.representative.index, c.size, c.carrier.mask) for c in conjugacy_classes(g)]
     want = [(c.representative.index, c.size, c.carrier.mask) for c in conjugacy_classes(ref)]

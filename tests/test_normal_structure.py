@@ -7,13 +7,17 @@ built-in group and five direct products; any change to one of these moves
 the digest. The quotient-chain supersolvability test kept here is the
 reference for is_supersolvable, which walks its chief series inside G. The
 class closures are compared with subgroup_generated, the element closure,
-which also catches a planted wrong square class. The class-support
-kernel's keys are compared with a dense k x k scratch reference written
-here.
+which also catches a planted wrong square class; the closures are class
+sets, turned into element masks here through the class carriers. Two
+lattices too large for the oracle are pinned by digest, and a tracemalloc
+bound keeps the structure predicates compact at k = n = 4096. The
+class-support kernel's keys are compared with a dense k x k scratch
+reference written here.
 """
 
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +40,7 @@ from classprod import (
     subgroup_generated,
 )
 from classprod import classalg
-from classprod.constructions import _is_prime
+from classprod.constructions import GroupSpec, _is_prime
 from classprod.scan import BUILTIN_SPECS
 from test_class_kernels import relabeled
 
@@ -116,30 +120,41 @@ def test_supersolvable_matches_quotient_chain(g):
 
 
 def test_structure_stays_inside_the_group(monkeypatch):
-    """No quotient group and no element closure: the class closures come from one class-level pass."""
+    """No quotient group, no element closure and no element product: the class
+    closures come from one class-level pass, and joins gather class ids."""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("built an element closure, a quotient or its minimal normals")
+        raise AssertionError("built an element closure or product, a quotient or its minimal normals")
 
-    for name in ("subgroup_generated", "quotient", "minimal_normal_subgroups"):
+    for name in ("subgroup_generated", "quotient", "minimal_normal_subgroups", "set_product", "_products"):
         monkeypatch.setattr(classalg, name, forbidden)
     g = from_cayley_table(cayley_rows(build_group("prod(q8,es:3)")), "q8xes3")  # no caches
     assert is_supersolvable(g) and is_supersolvable(g, tie_break=random.Random(0))
     monkeypatch.undo()
-    monkeypatch.setattr(classalg, "subgroup_generated", forbidden)
-    assert all(is_normal(s) for s in normal_subgroups(g))
+    for name in ("subgroup_generated", "set_product", "_products"):
+        monkeypatch.setattr(classalg, name, forbidden)
+    lattice = normal_subgroups(g)
     minimal_normal_subgroups(g)
     is_simple_nonabelian(g)
     for cls in conjugacy_classes(g):
         normal_closure(cls.representative)
+    monkeypatch.undo()
+    assert all(is_normal(s) for s in lattice)
 
 
 # -- the class closures against the element closure --------------------------
 
 
-def closure_mismatches(g, masks):
-    """The classes whose closure mask is not the subgroup their class generates."""
+def element_masks(g, class_sets):
+    """Each class set (bit j for class j) as the element mask of its classes' carriers."""
+    carriers = [c.carrier.mask for c in conjugacy_classes(g)]
+    return [sum(m for j, m in enumerate(carriers) if s >> j & 1) for s in class_sets]
+
+
+def closure_mismatches(g, class_sets):
+    """The classes whose closure is not the subgroup their class generates."""
     classes = conjugacy_classes(g)
+    masks = element_masks(g, class_sets)
     return [i for i, m in enumerate(masks) if m != subgroup_generated(classes[i].carrier).mask]
 
 
@@ -161,8 +176,8 @@ def test_a_wrong_square_class_is_caught(spec):
     closures = classalg._class_closures(g)
     assert tuple(classalg._closure_masks(g, sq)) == closures
     # plant, as the class of r_j^2, a class outside the closure of C_j
-    j = next(j for j, m in enumerate(closures) if j and m != (1 << g.order) - 1)
-    outside = next(l for l, c in enumerate(data.masks) if not c & closures[j])
+    j = next(j for j, m in enumerate(closures) if j and m != (1 << len(closures)) - 1)
+    outside = next(l for l in range(len(closures)) if not closures[j] >> l & 1)
     wrong = sq.copy()
     wrong[j] = outside
     assert j in closure_mismatches(g, classalg._closure_masks(g, wrong))
@@ -179,7 +194,9 @@ def test_lattice_of_es3_squared():
     assert lattice[0].members == (0,) and len(lattice[-1]) == g.order
 
 
-@pytest.mark.parametrize("spec", ["dihedral:6", "sym:5", "prod(sym:3,cyclic:3)"])
+@pytest.mark.parametrize(
+    "spec", ["dihedral:6", "sym:5", "prod(sym:3,cyclic:3)", "prod(dihedral:4,cyclic:2)", "prod(q8,cyclic:2)"]
+)
 def test_lattice_matches_oracle(spec):
     g = build_group(spec)
     rows = cayley_rows(g)
@@ -189,6 +206,37 @@ def test_lattice_matches_oracle(spec):
         want = bf.generated(rows, cls.carrier)
         assert frozenset(normal_closure(cls.representative)) == want, cls
     assert frozenset(center(g)) == bf.center(rows)
+
+
+# sha256 of repr([s.members for s in normal_subgroups(g)]), taken when the
+# lattice was joined by element products
+LATTICE_DIGESTS = {
+    "prod(dihedral:8,dihedral:8,cyclic:2)": (610, "0d11f550e3959607547ffe1d7c8a0c10111bd3800cccf372c63a802c00b47f46"),
+    "prod(dihedral:4,dihedral:4,dihedral:4)": (3872, "940a35ac61fca47c7e1f464148b1ff45463b457a2caebfaafec763a63a5c6dc4"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LATTICE_DIGESTS))
+def test_large_lattices_match_their_pins(spec):
+    lattice = normal_subgroups(build_group(spec))
+    members = [s.members for s in lattice]
+    assert (len(lattice), hashlib.sha256(repr(members).encode()).hexdigest()) == LATTICE_DIGESTS[spec]
+
+
+def test_structure_predicates_stay_compact_at_4096_classes():
+    """minimal_normal_subgroups, is_supersolvable and is_simple_nonabelian on
+    the elementary abelian group of order 4096, from cold caches: the traced
+    peak stays below the 49.37 MiB that element-mask closures and class masks
+    reached (most of it the fill of the 32 MiB table)."""
+    g = GroupSpec.parse("prod(" + ",".join(["cyclic:2"] * 12) + ")").build()
+    tracemalloc.start()
+    try:
+        assert len(minimal_normal_subgroups(g)) == 4095
+        assert is_supersolvable(g) and not is_simple_nonabelian(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 49.37 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- kernel keys -----------------------------------------------------------

@@ -4,7 +4,8 @@ G/{e} is its own group on the parent's frozen table and row views. Every
 quotient takes its inverses and generators from the parent's; each is
 checked against the brute-force oracles, over every normal subgroup the
 oracle finds. The traced peak of quotient-monotonicity on es:3^2 stays
-within one and a half tables of what the group held before it.
+within one and a half tables of what the group held before it, and the
+quotients it builds name no coset.
 """
 
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 import bruteforce as bf
 from classprod import (
     ElementSet,
+    FiniteGroup,
     build_group,
     cayley_rows,
     class_eta_matrix,
@@ -72,3 +74,15 @@ def test_quotient_monotonicity_peaks_within_one_and_a_half_tables():
         tracemalloc.stop()
     assert report.pairs_checked == 73205
     assert peak <= 1.5 * table_bytes, f"peak {peak} B over a table of {table_bytes} B"
+
+
+def test_quotient_monotonicity_names_no_element(monkeypatch):
+    g = GroupSpec.parse("es:3^2").build()  # fresh, with cold caches
+    named = []
+    name_of = FiniteGroup.name_of
+    monkeypatch.setattr(FiniteGroup, "name_of", lambda self, i: named.append(i) or name_of(self, i))
+    report = run_statement(g, "quotient-monotonicity")
+    assert report.verdict == "holds" and report.pairs_checked == 73205
+    assert named == []
+    assert quotient(g, ElementSet.from_indices(g, [0])).quotient.name_of(1) == f"[{name_of(g, 1)}]"
+    assert len(named) == g.order + 1  # the public quotient names every coset, and it was read
