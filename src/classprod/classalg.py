@@ -357,9 +357,13 @@ def _order_of(group: FiniteGroup) -> Callable[[int], int]:
 
 
 def _conjugacy_classes(group: FiniteGroup, ids: Sequence[int]) -> Tuple[ConjugacyClass, ...]:
-    reps = _class_data(group).reps[list(ids)].tolist()
-    carriers = _element_sets(group, [1 << i for i in ids])
-    return tuple(ConjugacyClass(Element(group, r), c) for r, c in zip(reps, carriers))
+    """The classes ids, each carrier made from its own block of the class record."""
+    data, n = _class_data(group), group.order
+    return tuple(
+        ConjugacyClass(Element(group, int(data.reps[i])),
+                       ElementSet(group, _mask_of(data.order[data.starts[i] : data.starts[i] + data.sizes[i]], n)))
+        for i in ids
+    )
 
 
 def class_id_array(group: FiniteGroup) -> np.ndarray:
@@ -890,7 +894,8 @@ def is_supersolvable(group: FiniteGroup, tie_break: Optional[random.Random] = No
 
     The series stays inside G, as class sets. Over the current term N, the
     next term is NM for a class closure M not inside N of least index
-    |NM : N| = |M| / |M & N|, read from class sizes; such an NM is minimal
+    |NM : N| = |M| / |M & N|, read from class sizes: each |M| once, and
+    |M & N| grown by the classes each step adds to N. Such an NM is minimal
     normal over N. The canonical M is the first in class order, whose NM is
     the least by (order, members); a random tie_break picks among those M
     instead, which by Jordan-Hoelder must not change the verdict.
@@ -898,18 +903,24 @@ def is_supersolvable(group: FiniteGroup, tie_break: Optional[random.Random] = No
     if tie_break is None and "is_supersolvable" in group._cache:
         return group._cache["is_supersolvable"]
     order, k = _order_of(group), len(_class_data(group).reps)
-    sizes = {m: order(m) for m in _class_closures(group)}  # distinct, in class order
+    closures = list(dict.fromkeys(_class_closures(group)))  # distinct, in class order
+    orders, inside = [order(m) for m in closures], [1] * len(closures)  # |M| and |M & N|
     current, reached = 1, 1  # N and |N|
     while reached < group.order:
-        index = {m: size // order(m & current) for m, size in sizes.items() if m & ~current}
-        least = min(index.values())
+        index = [size // part for size, part in zip(orders, inside)]
+        least = min(i for i in index if i > 1)  # index 1: M lies inside N
         if not _is_prime(least):
             break
-        choices = [m for m, i in index.items() if i == least]
+        choices = [m for m, i in zip(closures, index) if i == least]
         chosen = tie_break.choice(choices) if tie_break is not None else choices[0]
         reached *= least  # |NM|, and NM is G once that is |G|
         if reached < group.order:
-            current = _joins(group, current, _bits([chosen], k))[0] if current & ~chosen else chosen
+            joined = _joins(group, current, _bits([chosen], k))[0] if current & ~chosen else chosen
+            added = joined & ~current  # the classes NM adds to N
+            for c, m in enumerate(closures):
+                if m & added:
+                    inside[c] += order(m & added)
+            current = joined
     if tie_break is None:
         group._cache["is_supersolvable"] = reached == group.order
     return reached == group.order

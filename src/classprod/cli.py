@@ -24,8 +24,8 @@ from .classalg import (
     centralizer,
     class_product,
     commutator_set,
+    commutator_set_ids,
     conjugacy_class,
-    conjugacy_classes,
     decompose,
     eta_of_product,
     is_normal,
@@ -85,6 +85,12 @@ def resolve_element(group: FiniteGroup, text: str) -> Element:
     raise ValueError(f"cannot resolve element selector {text!r} in {group.group_id}")
 
 
+def _print_json(doc: object) -> None:
+    """doc as indented JSON and a newline on stdout, written as it is encoded."""
+    json.dump(doc, sys.stdout, indent=2)
+    print()
+
+
 def _print_table(headers: List[str], rows: List[List[str]]) -> None:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -112,7 +118,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "generators": list(group.generator_indices),
     }
     if args.json:
-        print(json.dumps(info, indent=2))
+        _print_json(info)
     else:
         print(
             f"{info['group_id']}: order {info['order']}, "
@@ -125,24 +131,33 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_classes(args: argparse.Namespace) -> int:
     group = build_group(args.group)
+    data = _class_data(group)
+    if group.factors:  # a product's distinct [a,G] come from its factors'
+        ids, holders = commutator_set_ids(group)
+        rep_ids = ids[data.reps].tolist()
+    else:  # one set per class: finding the distinct ones gathers every class's |C| x |C| block
+        rep_ids, holders = list(range(len(data.reps))), data.reps.tolist()
+    decided = {}  # each distinct [a,G] of a representative: its size, subgroup, normal
+    for s in dict.fromkeys(rep_ids):
+        comm = commutator_set(Element(group, holders[s]))
+        decided[s] = (len(comm), is_subgroup(comm), is_normal(comm))
     entries = []
-    for cls in conjugacy_classes(group):
-        a = cls.representative
-        comm = commutator_set(a)
+    for r, size, s in zip(data.reps.tolist(), data.sizes.tolist(), rep_ids):
+        comm_size, closed, normal = decided[s]
         # |C(a)| = n / |a^G|: the class data checked this class equation
         entries.append(
             {
-                "rep": a.index,
-                "name": a.name,
-                "size": cls.size,
-                "centralizer_order": group.order // cls.size,
-                "comm_set_size": len(comm),
-                "comm_set_is_subgroup": is_subgroup(comm),
-                "comm_set_is_normal": is_normal(comm),
+                "rep": r,
+                "name": group.name_of(r),
+                "size": size,
+                "centralizer_order": group.order // size,
+                "comm_set_size": comm_size,
+                "comm_set_is_subgroup": closed,
+                "comm_set_is_normal": normal,
             }
         )
     if args.json:
-        print(json.dumps({"group_id": group.group_id, "classes": entries}, indent=2))
+        _print_json({"group_id": group.group_id, "classes": entries})
     else:
         print(f"{group.group_id}: order {group.order}, {len(entries)} classes")
         _print_table(
@@ -195,7 +210,7 @@ def cmd_product(args: argparse.Namespace) -> int:
         },
     }
     if args.json:
-        print(json.dumps(report, indent=2))
+        _print_json(report)
     else:
         print(f"group {group.group_id}: a = {a.name} (#{a.index}), b = {b.name} (#{b.index})")
         print(
@@ -229,7 +244,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 2
     reports = [run_statement(group, sid) for sid in ids]
     if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
+        _print_json([r.to_dict() for r in reports])
     else:
         _print_table(
             ["statement", "verdict", "pairs", "clauses", "notes"],
@@ -284,7 +299,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"{len(hits.a)} rows written to {args.out}", file=sys.stderr)
     summary = hits.summary(catalog.failures)
     if args.json:
-        print(json.dumps(summary, indent=2))
+        _print_json(summary)
     else:
         print(format_summary(summary))
     return 0
@@ -303,7 +318,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "eta_of_square": e,
     }
     if args.json:
-        print(json.dumps(info, indent=2))
+        _print_json(info)
     else:
         print(
             f"{group.group_id}: order {group.order}; witness {a.name} (#{a.index}) "

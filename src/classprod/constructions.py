@@ -227,26 +227,19 @@ def direct_product(
     """Direct product with x-major indexing: (x, y) -> x*|K| + y.
 
     The factors of g and k (a product gives its own) are kept as one flat
-    tuple, and the table is filled only when it is first read.
+    tuple, and the table is filled only when it is first read; the element
+    (x, y) is named "(x's name,y's name)" when its name is read.
     """
     _check_order(f"prod({g.group_id},{k.group_id})", (g.order, k.order), max_order)
     ko = k.order
     ginv = np.asarray(g.inverse_table, dtype=np.int32)
     kinv = np.asarray(k.inverse_table, dtype=np.int32)
     inverse = (ginv[:, None] * ko + kinv[None, :]).reshape(-1)
-    k_names = [k.name_of(y) for y in range(ko)]
-    names = [f"({g.name_of(x)},{y})" for x in range(g.order) for y in k_names]
     gen_indices = tuple(gi * ko for gi in g.generator_indices) + tuple(
         int(ki) for ki in k.generator_indices
     )
     gid = group_id if group_id is not None else f"prod({g.group_id},{k.group_id})"
-    return FiniteGroup.from_factors(
-        tuple(f for x in (g, k) for f in (x.factors or (x,))),
-        gid,
-        element_names=names,
-        generator_indices=gen_indices,
-        inverse_table=inverse.tolist(),
-    )
+    return FiniteGroup.product_of(g, k, gid, gen_indices, inverse.tolist())
 
 
 def es_power(p: int, copies: int, max_order: Optional[int] = None) -> FiniteGroup:

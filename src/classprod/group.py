@@ -7,7 +7,6 @@ against that limit before it allocates a table.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from collections import deque
@@ -99,7 +98,7 @@ class FiniteGroup:
     table is the group's one table: a read-only C-order int16 n x n array,
     also returned by np_table(), so order is at most TABLE_ORDER_LIMIT
     (32768) and table[a, b] is the product a*b as an np.int16; mul and the
-    other scalar methods return it as an int. A direct product (from_factors)
+    other scalar methods return it as an int. A direct product (product_of)
     keeps its factors in factors, empty for any other group, and fills its
     table on first read. The constructor takes a table through the checked
     fill that from_cayley_table uses, which names the first bad row or
@@ -114,7 +113,9 @@ class FiniteGroup:
     input, canonicalized table order (identity moved to the front) for raw
     table input. name_of(i) is the i-th of element_names, or str(i) when
     there are none; a closure keeps its elements' images instead and makes
-    a name, their cycle string, only when one is read. Instances are
+    a name, their cycle string, only when one is read, and a product makes
+    "(x,y)" in the same way, from the names of its operands but the last,
+    joined once into one list, and the last operand's. Instances are
     treated as immutable; derived data such as conjugacy classes is cached
     on first use under _cache, which classalg alone fills, with ints,
     bools, numpy arrays and containers of those only, so that no cached
@@ -126,10 +127,12 @@ class FiniteGroup:
     __slots__ = (
         "order",
         "group_id",
-        "table",
+        "_table",
         "inverse_table",
         "_names",
         "_images",
+        "_operands",
+        "_prefix",
         "named_elements",
         "generator_indices",
         "factors",
@@ -185,47 +188,52 @@ class FiniteGroup:
         inverse_table = _checked_inverses(t, inverse_table, group_id)
         group._describe(owner.order, group_id, element_names, None, generator_indices, inverse_table)
         group.factors = ()
-        group.table = t
+        group._table = t
         return group
 
     @classmethod
-    def from_factors(
+    def product_of(
         cls,
-        factors: Sequence["FiniteGroup"],
+        g: "FiniteGroup",
+        k: "FiniteGroup",
         group_id: str,
-        element_names: Optional[List[str]],
         generator_indices: Tuple[int, ...],
         inverse_table: Sequence[int],
     ) -> "FiniteGroup":
-        """The direct product of factors, x-major: (x_1, ..., x_m) is index
-        sum_i x_i * |F_i+1| * ... * |F_m|.
+        """The direct product of g and k, x-major: (x, y) is index x * |k| + y.
 
-        factors is one flat tuple of groups that are not products. Class data,
-        commutator sets and subgroup tests of product-shaped sets are read
-        from the factors (classalg); the table is filled from the factors'
-        tables on the first read of table or np_table(), and is then the
-        same read-only int16 array as any group's.
+        factors is one flat tuple of groups that are not products, g's (a
+        product gives its own) then k's. Class data, commutator sets and
+        subgroup tests of product-shaped sets are read from the factors
+        (classalg); the table is filled from the factors' tables on the first
+        read of table or np_table(), and is then the same read-only int16 array
+        as any group's. The operands that names are read from are g and k, or
+        g's operands and k when g is a product, so a left-nested product of m
+        groups keeps m operands and no intermediate product; the names of all
+        but the last are joined into one list, _prefix, on the first name read.
         """
-        n = math.prod(f.order for f in factors)
+        n = g.order * k.order
         _check_limit(n, group_id)
         group = cls.__new__(cls)
-        group._describe(n, group_id, element_names, None, generator_indices, inverse_table)
-        group.factors = tuple(factors)
+        group._describe(n, group_id, None, None, generator_indices, inverse_table)
+        group.factors = tuple(f for x in (g, k) for f in (x.factors or (x,)))
+        group._operands = (g._operands or (g,)) + (k,)
         return group
 
-    def __getattr__(self, name: str):
-        # reached only for a product whose table slot is still unset
-        if name != "table" or not self.factors:
-            raise AttributeError(name)
-        t = self.factors[0].np_table()
-        for k in self.factors[1:]:
-            go, ko = len(t), k.order
-            # g * ko <= n - ko < 32768, and 0 when |g| = 1 even for ko = 32768
-            scaled = (t.astype(np.int32) * ko).astype(np.int16)
-            t = np.empty((go * ko, go * ko), dtype=np.int16)
-            np.add(scaled[:, None, :, None], k.np_table()[None, :, None, :],
-                   out=t.reshape(go, ko, go, ko))
-        self._set_table(t)
+    @property
+    def table(self) -> np.ndarray:
+        """The group's one read-only int16 table; a product fills it on the first read."""
+        t = self._table
+        if t is None:
+            t = self.factors[0].np_table()
+            for k in self.factors[1:]:
+                go, ko = len(t), k.order
+                # g * ko <= n - ko < 32768, and 0 when |g| = 1 even for ko = 32768
+                scaled = (t.astype(np.int32) * ko).astype(np.int16)
+                t = np.empty((go * ko, go * ko), dtype=np.int16)
+                np.add(scaled[:, None, :, None], k.np_table()[None, :, None, :],
+                       out=t.reshape(go, ko, go, ko))
+            self._set_table(t)
         return t
 
     def _describe(
@@ -240,11 +248,14 @@ class FiniteGroup:
         """Everything but the table, checked against the order n."""
         self.order = n
         self.group_id = group_id
+        self._table: Optional[np.ndarray] = None
         self.inverse_table = list(inverse_table)
         if element_names is not None and len(element_names) != n:
             raise ValueError(f"expected {n} element names, got {len(element_names)}")
         self._names = element_names
         self._images: Optional[Tuple[str, bytes]] = None
+        self._operands: Tuple[FiniteGroup, ...] = ()
+        self._prefix: Optional[List[str]] = None
         self.named_elements = dict(named_elements or {})
         for g in generator_indices:
             if not 0 <= g < n:
@@ -254,7 +265,7 @@ class FiniteGroup:
 
     def _set_table(self, t: np.ndarray) -> None:
         t.setflags(write=False)
-        self.table = t
+        self._table = t
 
     # -- index-level arithmetic: item() returns a Python int, not np.int16 --
 
@@ -303,6 +314,11 @@ class FiniteGroup:
     def name_of(self, index: int) -> str:
         if self._names is not None:
             return self._names[index]
+        if self._operands:  # from lists, each made once, not one name at a time
+            last, prefix = self._operands[-1], self._prefix or self._prefix_names()
+            x, y = divmod(index, last.order)
+            names = last._names or last.element_names
+            return f"({prefix[x]},{y if names is None else names[y]})"
         if self._images is not None:  # a closure's image rows: (typecode, bytes)
             flat = memoryview(self._images[1]).cast(self._images[0])
             d = len(flat) // self.order
@@ -310,11 +326,31 @@ class FiniteGroup:
         return str(index)
 
     def index_of_name(self, name: str) -> Optional[int]:
-        """The index of the element named name, or None. A closure whose names
-        are not made reads name as a cycle string and finds its images among
-        the kept ones, so no other element is named."""
-        if self._images is None:
-            return self._names.index(name) if self._names is not None and name in self._names else None
+        """The first i with name_of(i) == name, or None, with no list of this
+        group's names made: a closure whose names are not made reads name as a
+        cycle string and finds its images among the kept ones, and a product
+        splits name at a comma into a name of its prefix list and one its last
+        operand reads back."""
+        if self._names is not None:
+            return self._names.index(name) if name in self._names else None
+        if self._operands:
+            if not (name.startswith("(") and name.endswith(")")):
+                return None
+            prefix, last = self._prefix_names(), self._operands[-1]
+            names = last.element_names
+            longest = max(map(len, names)) if names is not None else len(str(last.order - 1))
+            # names may hold commas: try each split whose right part is not too long
+            inner, found = name[1:-1], []
+            at = inner.find(",", max(0, len(inner) - 1 - longest))
+            while at >= 0:
+                x, y = inner[:at], last.index_of_name(inner[at + 1 :])
+                if y is not None and x in prefix:
+                    found.append(prefix.index(x) * last.order + y)
+                at = inner.find(",", at + 1)
+            return min(found, default=None)
+        if self._images is None:  # named str(i)
+            i = int(name) if name.isascii() and name.isdigit() and len(name) <= len(str(self.order)) else -1
+            return i if 0 <= i < self.order and str(i) == name else None
         typecode, raw = self._images
         dtype = np.dtype(typecode)
         try:
@@ -330,12 +366,28 @@ class FiniteGroup:
 
     @property
     def element_names(self) -> Optional[List[str]]:
-        """Every element's name in index order, or None; a closure makes
-        them from its images, which it then frees, on the first read."""
-        if self._names is None and self._images is not None:
-            self._names = [self.name_of(i) for i in range(self.order)]
-            self._images = None
+        """Every element's name in index order, or None. On the first read a
+        closure makes them from its images, which it then frees, and a product
+        from its operands' lists."""
+        if self._names is None:
+            if self._images is not None:
+                self._names = [self.name_of(i) for i in range(self.order)]
+                self._images = None
+            elif self._operands:
+                last = self._operands[-1]
+                self._names = _joined(self._prefix_names(), last.element_names or list(map(str, range(last.order))))
+                self._prefix = None
         return self._names
+
+    def _prefix_names(self) -> List[str]:
+        """A product's names of the product of its operands but the last, joined
+        left to right from their own lists on the first read."""
+        if self._prefix is None:
+            first, *rest = (x.element_names or list(map(str, range(x.order))) for x in self._operands[:-1])
+            for names in rest:
+                first = _joined(first, names)
+            self._prefix = first
+        return self._prefix
 
     def np_table(self) -> np.ndarray:
         """self.table, the group's one read-only int16 array."""
@@ -587,6 +639,11 @@ def _group_of_table(
         if names is not None:
             names = [names[old] for old in old_order.tolist()]
     return FiniteGroup(t, group_id, element_names=names, inverse_table=y.tolist())
+
+
+def _joined(left: List[str], right: List[str]) -> List[str]:
+    """The names "(a,b)" of a direct product, a-major, from its two operands' names."""
+    return [f"({a},{b})" for a in left for b in right]
 
 
 def _order_of(rows: Sequence[Sequence[int]], group_id: str) -> int:

@@ -28,7 +28,6 @@ from .classalg import (
     commutator_set,
     commutator_set_ids,
     conjugacy_class,
-    conjugacy_classes,
     decompose,
     equal_centralizer_arrays,
     eta_of_product,
@@ -652,11 +651,12 @@ def check_nilpotent_odd(group: FiniteGroup) -> VerifierReport:
     if not is_nilpotent(group):
         raise HypothesisViolated(f"nilpotent-odd-size: {group.group_id} is not nilpotent")
     out = _Tally()
-    for cls in conjugacy_classes(group):
+    data = _class_data(group)
+    for r, size in zip(data.reps.tolist(), data.sizes.tolist()):
         out.checked += 1
-        a = cls.representative
-        if eta_of_product(a, a) == 1 and cls.size % 2 == 0:
-            out.fail({"a": a.index, "a_name": a.name, "class_size": cls.size, "eta": 1})
+        a = Element(group, r)
+        if eta_of_product(a, a) == 1 and size % 2 == 0:
+            out.fail({"a": r, "a_name": a.name, "class_size": size, "eta": 1})
     return out.report("nilpotent-odd-size", group)
 
 
@@ -688,12 +688,18 @@ def check_direct_product_eta(
     return _run("direct-product-eta", prod, _direct_product_eta_pair, [(prod, a, k, b)])
 
 
+def _class_size(a: Element) -> int:
+    """|a^G|, read from the class record."""
+    data = _class_data(a.group)
+    return int(data.sizes[data.class_id[a.index]])
+
+
 def _direct_product_eta_pair(out: _Tally, prod: FiniteGroup, a: Element, k: FiniteGroup,
                              b: Element) -> None:
     pair = Element(prod, a.index * k.order + b.index)
     # n / |C(pair)| from the product's own table: its class data comes from the factors
     size = prod.order // int(np.count_nonzero(_commutes_with(prod, pair.index)))
-    expected = conjugacy_class(a).size * conjugacy_class(b).size
+    expected = _class_size(a) * _class_size(b)
     e = eta_of_product(pair, pair)
     if size != expected or e != 1:
         out.fail(
@@ -821,11 +827,7 @@ def _agg_direct_product_eta(group: FiniteGroup) -> VerifierReport:
             group,
             f"self-product order {group.order * group.order} exceeds the cap {cap}",
         )
-    reps = [
-        cls.representative
-        for cls in conjugacy_classes(group)
-        if eta_of_product(cls.representative, cls.representative) == 1
-    ]
+    reps = [a for a in (Element(group, r) for r in _class_data(group).reps.tolist()) if eta_of_product(a, a) == 1]
     if not reps:
         return _vacuous(
             "direct-product-eta", group, "no class with a homogeneous square", hypotheses_met=True
