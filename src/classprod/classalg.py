@@ -2,14 +2,16 @@
 
 Everything here works on one group at a time; mixing groups raises
 GroupMismatch. Derived data (classes, centralizers, closures, verdicts of the
-structure predicates) is cached on the owning FiniteGroup, and only this
-module reads or writes those caches. A cache holds ints, bools, numpy arrays
-and containers of those, nothing else: the Element, ElementSet,
-ConjugacyClass and QuotientMap objects that point back at a group are made
-at the API on each call, so no group sits in a reference cycle and a
-dropped group is freed at once. The caches are idempotent pure
-computations, so a duplicated computation under concurrent access is
-harmless.
+structure predicates) is cached on the owning FiniteGroup by one helper,
+_kept, which builds each fact once and makes its arrays read-only; only the
+class kernel, filled a block of rows at a time, and the last quotient, one
+replaced entry, keep their own code. No other module reads or writes those
+caches. A cache holds ints, bools, numpy arrays and containers of those,
+nothing else: the Element, ElementSet, ConjugacyClass and QuotientMap objects
+that point back at a group are made at the API on each call, so no group sits
+in a reference cycle and a dropped group is freed at once. The caches are
+idempotent pure computations, so a duplicated computation under concurrent
+access is harmless.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,11 +192,19 @@ def _indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _kept(group: FiniteGroup, key: Hashable, build: Callable[[], Any]) -> Any:
+    """group._cache[key], stored on the first call as build() with its arrays, bare or in a tuple, read-only."""
+    if key not in group._cache:
+        value = build()
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        group._cache[key] = value
+    return group._cache[key]
+
+
 def _inverse_array(group: FiniteGroup) -> np.ndarray:
-    inv = group._cache.get("np_inverse")
-    if inv is None:
-        inv = group._cache["np_inverse"] = np.asarray(group.inverse_table)
-    return inv
+    return _kept(group, "np_inverse", lambda: np.asarray(group.inverse_table))
 
 
 def _conjugates(group: FiniteGroup, a: int) -> np.ndarray:
@@ -316,16 +326,11 @@ class _ClassData(NamedTuple):
 
 def _class_data(group: FiniteGroup) -> _ClassData:
     """The group's class record, cached; classes run in order of their least members."""
-    cached = group._cache.get("class_data")
-    if cached is not None:
-        return cached
-    class_id, reps, sizes = (_factor_classes if group.factors else _orbit_classes)(group)
-    order = np.argsort(class_id, kind="stable")
-    data = _ClassData(reps, class_id, order, np.cumsum(sizes) - sizes, sizes)
-    for arr in data:
-        arr.setflags(write=False)
-    group._cache["class_data"] = data
-    return data
+    def build() -> _ClassData:
+        class_id, reps, sizes = (_factor_classes if group.factors else _orbit_classes)(group)
+        order = np.argsort(class_id, kind="stable")
+        return _ClassData(reps, class_id, order, np.cumsum(sizes) - sizes, sizes)
+    return _kept(group, "class_data", build)
 
 
 def _bits(masks: Sequence[int], width: int) -> np.ndarray:
@@ -405,20 +410,17 @@ def _centralizer_ids(group: FiniteGroup) -> np.ndarray:
     C((h,k)) = C(h) x C(k), so a product takes its factors' ids in mixed
     radix; they run in order of least members, as the factors' ids do.
     """
-    ids = group._cache.get("centralizer_ids")
-    if ids is None:
+    def build() -> np.ndarray:
         if group.factors:
-            ids = _mixed_radix((c, int(c.max()) + 1) for c in map(_centralizer_ids, group.factors))
-        else:
-            n, t, seen = group.order, group.np_table(), {}
-            ids = np.empty(n, dtype=np.int64)
-            for a0 in range(0, n, _BLOCK_ROWS):
-                a1 = a0 + _BLOCK_ROWS  # slices stop at n
-                bits = np.packbits(t[a0:a1] == t[:, a0:a1].T, axis=1, bitorder="little")
-                ids[a0:a1] = [seen.setdefault(row.tobytes(), len(seen)) for row in bits]
-        ids.setflags(write=False)
-        group._cache["centralizer_ids"] = ids
-    return ids
+            return _mixed_radix((c, int(c.max()) + 1) for c in map(_centralizer_ids, group.factors))
+        n, t, seen = group.order, group.np_table(), {}
+        ids = np.empty(n, dtype=np.int64)
+        for a0 in range(0, n, _BLOCK_ROWS):
+            a1 = a0 + _BLOCK_ROWS  # slices stop at n
+            bits = np.packbits(t[a0:a1] == t[:, a0:a1].T, axis=1, bitorder="little")
+            ids[a0:a1] = [seen.setdefault(row.tobytes(), len(seen)) for row in bits]
+        return ids
+    return _kept(group, "centralizer_ids", build)
 
 
 def centralizer_buckets(group: FiniteGroup) -> Dict[int, Tuple[int, ...]]:
@@ -447,9 +449,7 @@ def equal_centralizer_arrays(group: FiniteGroup) -> Tuple[np.ndarray, np.ndarray
 def commutator_set(a: Element) -> ElementSet:
     """[a, G] = {a^-1 * a^g : g in G}, which is a^-1 times the class of a."""
     group = a.group
-    memo: Dict[int, int] = group._cache.setdefault("commutator_masks", {})
-    mask = memo.get(a.index)
-    if mask is None:
+    def build() -> int:
         if group.factors:  # [(h,k),G] = [h,H] x [k,K]
             # below a factor F, (x, y) is bit x*w + y with y < w, so the mask
             # of A x Y is the mask of Y times the sum of 2^(x*w) over x in A
@@ -458,12 +458,11 @@ def commutator_set(a: Element) -> ElementSet:
                 rest, x = divmod(rest, f.order)
                 mask *= sum(1 << (y * width) for y in commutator_set(Element(f, x)))
                 width *= f.order
-        else:
-            data, i = _class_data(group), class_id_of(a)
-            members = data.order[data.starts[i] : data.starts[i] + data.sizes[i]]
-            mask = _mask_of(group.np_table()[group.inverse_table[a.index], members], group.order)
-        memo[a.index] = mask
-    return ElementSet(group, mask)
+            return mask
+        data, i = _class_data(group), class_id_of(a)
+        members = data.order[data.starts[i] : data.starts[i] + data.sizes[i]]
+        return _mask_of(group.np_table()[group.inverse_table[a.index], members], group.order)
+    return ElementSet(group, _kept(group, ("commutator_set", a.index), build))
 
 
 def commutator_set_ids(group: FiniteGroup) -> Tuple[np.ndarray, List[int]]:
@@ -475,27 +474,23 @@ def commutator_set_ids(group: FiniteGroup) -> Tuple[np.ndarray, List[int]]:
     all classes. A product's sets are products of its factors' sets, so
     its ids and holders are the factors' in mixed radix.
     """
-    cached = group._cache.get("commutator_set_ids")
-    if cached is None:
+    def build() -> Tuple[np.ndarray, List[int]]:
         if group.factors:  # [(h,k),G] = [h,H] x [k,K]: the factors' ids and holders in mixed radix
             parts = [commutator_set_ids(f) for f in group.factors]
             ids = _mixed_radix((f_ids, len(f_holders)) for f_ids, f_holders in parts)
             holders = _mixed_radix((np.array(h), f.order) for (_, h), f in zip(parts, group.factors))
-            cached = (ids, holders.tolist())
-        else:
-            t, inv = group.np_table(), _inverse_array(group)
-            _, _, order, starts, sizes = _class_data(group)
-            ids = np.empty(group.order, dtype=np.int64)
-            seen: Dict[bytes, Tuple[int, int]] = {}  # set -> (its id, the first member seen)
-            for start, size in zip(starts.tolist(), sizes.tolist()):
-                members = order[start : start + size]
-                block = np.sort(t[inv[members][:, None], members], axis=1)
-                for x, row in zip(members.tolist(), block):
-                    ids[x] = seen.setdefault(row.tobytes(), (len(seen), x))[0]
-            cached = (ids, [x for _, x in seen.values()])
-        ids.setflags(write=False)
-        group._cache["commutator_set_ids"] = cached
-    return cached
+            return ids, holders.tolist()
+        t, inv = group.np_table(), _inverse_array(group)
+        _, _, order, starts, sizes = _class_data(group)
+        ids = np.empty(group.order, dtype=np.int64)
+        seen: Dict[bytes, Tuple[int, int]] = {}  # set -> (its id, the first member seen)
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            members = order[start : start + size]
+            block = np.sort(t[inv[members][:, None], members], axis=1)
+            for x, row in zip(members.tolist(), block):
+                ids[x] = seen.setdefault(row.tobytes(), (len(seen), x))[0]
+        return ids, [x for _, x in seen.values()]
+    return _kept(group, "commutator_set_ids", build)
 
 
 def center(group: FiniteGroup) -> ElementSet:
@@ -548,7 +543,7 @@ def _kernel_row(group: FiniteGroup, i: int) -> _ClassKernel:
     """The group's kernel with row i (the products C_i C_j) built, with its block."""
     data = _class_data(group)
     k = len(data.reps)
-    kernel = group._cache.get("class_kernel")
+    kernel = group._cache.get("class_kernel")  # not _kept: eta fills by blocks and is frozen once complete
     if kernel is None:
         kernel = group._cache["class_kernel"] = _ClassKernel(np.zeros((k, k), dtype=np.int32), [None] * k)
     if kernel.keys[i] is None:
@@ -567,6 +562,7 @@ def _kernel_row(group: FiniteGroup, i: int) -> _ClassKernel:
         keys = block.compress(fresh)
         eta = np.bincount(keys // k, minlength=len(block) // group.order * k).reshape(-1, k)  # (r*k + j)
         keys %= k * k
+        keys.setflags(write=False)  # and so each row, a slice of it
         ends = np.cumsum(eta.sum(axis=1)).tolist()
         kernel.eta[i0 : i0 + len(eta)] = eta
         kernel.keys[i0 : i0 + len(eta)] = [keys[a:b] for a, b in zip([0, *ends], ends)]
@@ -637,31 +633,21 @@ def eta_of_product(a: Element, b: Element) -> int:
 
 def is_subgroup(s: ElementSet) -> bool:
     """Nonempty and closed under the group product."""
-    if len(s) == 0:
-        return False
-    memo: Dict[int, bool] = s.group._cache.setdefault("is_subgroup_memo", {})
-    verdict = memo.get(s.mask)
-    if verdict is None:
+    def build() -> bool:
         parts = _factor_parts(s)  # a product set is closed exactly when each part is
         if parts is None:
-            verdict = set_product(s, s).issubset(s)
-        else:
-            verdict = all(is_subgroup(p) for p in parts)
-        memo[s.mask] = verdict
-    return verdict
+            return set_product(s, s).issubset(s)
+        return all(is_subgroup(p) for p in parts)
+    return len(s) > 0 and _kept(s.group, ("is_subgroup", s.mask), build)
 
 
 def is_normal(s: ElementSet) -> bool:
     """A subgroup that is a union of conjugacy classes."""
-    if not is_subgroup(s):
-        return False
-    memo: Dict[int, bool] = s.group._cache.setdefault("is_normal_memo", {})
-    verdict = memo.get(s.mask)
-    if verdict is None:
+    def build() -> bool:
         data = _class_data(s.group)
         counts = np.bincount(data.class_id[_member_array(s)], minlength=len(data.reps))
-        verdict = memo[s.mask] = bool(np.all((counts == 0) | (counts == data.sizes)))
-    return verdict
+        return bool(np.all((counts == 0) | (counts == data.sizes)))
+    return is_subgroup(s) and _kept(s.group, ("is_normal", s.mask), build)
 
 
 def subgroup_generated(s: ElementSet) -> ElementSet:
@@ -733,11 +719,11 @@ def _closure_masks(group: FiniteGroup, sq: np.ndarray) -> Iterator[int]:
 
 def _class_closures(group: FiniteGroup) -> Tuple[int, ...]:
     """The class set of the normal closure of every class, in class order."""
-    if "class_closures" not in group._cache:
+    def build() -> Tuple[int, ...]:
         data = _class_data(group)
         sq = data.class_id[group.np_table()[data.reps, data.reps]]
-        group._cache["class_closures"] = tuple(_closure_masks(group, sq))
-    return group._cache["class_closures"]
+        return tuple(_closure_masks(group, sq))
+    return _kept(group, "class_closures", build)
 
 
 def _joins(group: FiniteGroup, n: int, ms: np.ndarray) -> List[int]:
@@ -769,7 +755,7 @@ def normal_closure(a: Element) -> ElementSet:
 
 def normal_subgroups(group: FiniteGroup) -> Tuple[ElementSet, ...]:
     """All normal subgroups: the joins of class closures, 256 closures at a time."""
-    if "normal_subgroups" not in group._cache:
+    def build() -> Tuple[int, ...]:
         closures = list(dict.fromkeys(_class_closures(group)))
         rows, found, worklist = _bits(closures, len(_class_data(group).reps)), set(closures), closures[:]
         while worklist:
@@ -778,8 +764,8 @@ def normal_subgroups(group: FiniteGroup) -> Tuple[ElementSet, ...]:
                 fresh = set(_joins(group, n, rows[c0 : c0 + _BLOCK_ROWS])) - found
                 found |= fresh
                 worklist += fresh
-        group._cache["normal_subgroups"] = _by_order_and_members(group, found)
-    return tuple(_element_sets(group, group._cache["normal_subgroups"]))
+        return _by_order_and_members(group, found)
+    return tuple(_element_sets(group, _kept(group, "normal_subgroups", build)))
 
 
 def minimal_normal_subgroups(group: FiniteGroup) -> List[ElementSet]:
@@ -787,12 +773,12 @@ def minimal_normal_subgroups(group: FiniteGroup) -> List[ElementSet]:
     by (order, member tuple); TrivialGroup on the one-element group, which has none."""
     if group.order == 1:
         raise TrivialGroup("the trivial group has no minimal normal subgroups")
-    if "minimal_normals" not in group._cache:
+    def build() -> Tuple[int, ...]:
         # M is minimal when every class in M but the identity's has M for closure
         generating = Counter(_class_closures(group)[1:])
         minimal = [m for m, count in generating.items() if count == m.bit_count() - 1]
-        group._cache["minimal_normals"] = _by_order_and_members(group, minimal)
-    return _element_sets(group, group._cache["minimal_normals"])
+        return _by_order_and_members(group, minimal)
+    return _element_sets(group, _kept(group, "minimal_normals", build))
 
 
 # -- quotients -------------------------------------------------------------
@@ -836,10 +822,11 @@ def quotient(group: FiniteGroup, n: ElementSet) -> QuotientMap:
 def _quotient_classes(group: FiniteGroup, n: ElementSet) -> Tuple[np.ndarray, np.ndarray]:
     """The class in G/N of every element of G, as int16, and the eta matrix of G/N; G/N has no
     names and no projection. Only these are kept, for the last N asked: G/N is freed at once."""
-    memo = group._cache.get("last_quotient")  # (kernel mask, classes, eta): one entry
+    memo = group._cache.get("last_quotient")  # (kernel mask, classes, eta): one entry, replaced, so not _kept
     if memo is None or memo[0] != n.mask or n.group is not group:
         q, coset_id = _coset_group(group, n)
         classes = class_id_array(q).astype(np.int16)[coset_id]
+        classes.setflags(write=False)
         memo = group._cache["last_quotient"] = (n.mask, classes, class_eta_matrix(q))
     return memo[1], memo[2]
 
@@ -878,15 +865,13 @@ def is_nilpotent(group: FiniteGroup) -> bool:
     p-subgroup is the only one, that is, normal. A p-group (q = n) passes
     without powering.
     """
-    cached = group._cache.get("is_nilpotent")
-    if cached is None:
+    def build() -> bool:
         t, n = group.np_table(), group.order
-        cached = all(
+        return all(
             q == n or np.count_nonzero(_powers(t, q) == 0) == q
             for q in (p**e for p, e in _prime_powers(n))
         )
-        group._cache["is_nilpotent"] = cached
-    return cached
+    return _kept(group, "is_nilpotent", build)
 
 
 def is_supersolvable(group: FiniteGroup, tie_break: Optional[random.Random] = None) -> bool:
@@ -900,30 +885,28 @@ def is_supersolvable(group: FiniteGroup, tie_break: Optional[random.Random] = No
     the least by (order, members); a random tie_break picks among those M
     instead, which by Jordan-Hoelder must not change the verdict.
     """
-    if tie_break is None and "is_supersolvable" in group._cache:
-        return group._cache["is_supersolvable"]
-    order, k = _order_of(group), len(_class_data(group).reps)
-    closures = list(dict.fromkeys(_class_closures(group)))  # distinct, in class order
-    orders, inside = [order(m) for m in closures], [1] * len(closures)  # |M| and |M & N|
-    current, reached = 1, 1  # N and |N|
-    while reached < group.order:
-        index = [size // part for size, part in zip(orders, inside)]
-        least = min(i for i in index if i > 1)  # index 1: M lies inside N
-        if not _is_prime(least):
-            break
-        choices = [m for m, i in zip(closures, index) if i == least]
-        chosen = tie_break.choice(choices) if tie_break is not None else choices[0]
-        reached *= least  # |NM|, and NM is G once that is |G|
-        if reached < group.order:
-            joined = _joins(group, current, _bits([chosen], k))[0] if current & ~chosen else chosen
-            added = joined & ~current  # the classes NM adds to N
-            for c, m in enumerate(closures):
-                if m & added:
-                    inside[c] += order(m & added)
-            current = joined
-    if tie_break is None:
-        group._cache["is_supersolvable"] = reached == group.order
-    return reached == group.order
+    def build() -> bool:
+        order, k = _order_of(group), len(_class_data(group).reps)
+        closures = list(dict.fromkeys(_class_closures(group)))  # distinct, in class order
+        orders, inside = [order(m) for m in closures], [1] * len(closures)  # |M| and |M & N|
+        current, reached = 1, 1  # N and |N|
+        while reached < group.order:
+            index = [size // part for size, part in zip(orders, inside)]
+            least = min(i for i in index if i > 1)  # index 1: M lies inside N
+            if not _is_prime(least):
+                break
+            choices = [m for m, i in zip(closures, index) if i == least]
+            chosen = tie_break.choice(choices) if tie_break is not None else choices[0]
+            reached *= least  # |NM|, and NM is G once that is |G|
+            if reached < group.order:
+                joined = _joins(group, current, _bits([chosen], k))[0] if current & ~chosen else chosen
+                added = joined & ~current  # the classes NM adds to N
+                for c, m in enumerate(closures):
+                    if m & added:
+                        inside[c] += order(m & added)
+                current = joined
+        return reached == group.order
+    return _kept(group, "is_supersolvable", build) if tie_break is None else build()
 
 
 def is_simple_nonabelian(group: FiniteGroup) -> bool:

@@ -114,12 +114,12 @@ class FiniteGroup:
     table input. name_of(i) is the i-th of element_names, or str(i) when
     there are none; a closure keeps its elements' images instead and makes
     a name, their cycle string, only when one is read, and a product makes
-    "(x,y)" in the same way, from the names of its operands but the last,
-    joined once into one list, and the last operand's. Instances are
-    treated as immutable; derived data such as conjugacy classes is cached
-    on first use under _cache, which classalg alone fills, with ints,
-    bools, numpy arrays and containers of those only, so that no cached
-    value refers back to a group.
+    "(x,y)" in the same way, from each operand's own name, read from its
+    list when it has one. Instances are treated as immutable; derived data
+    such as conjugacy classes is cached on first use under _cache, which
+    classalg alone fills, each array read-only, with ints, bools, numpy
+    arrays and containers of those only, so that no cached value refers
+    back to a group.
     """
 
     identity_index = 0
@@ -210,7 +210,7 @@ class FiniteGroup:
         as any group's. The operands that names are read from are g and k, or
         g's operands and k when g is a product, so a left-nested product of m
         groups keeps m operands and no intermediate product; the names of all
-        but the last are joined into one list, _prefix, on the first name read.
+        but the last are joined into one list, _prefix, when a name is looked up.
         """
         n = g.order * k.order
         _check_limit(n, group_id)
@@ -261,7 +261,7 @@ class FiniteGroup:
             if not 0 <= g < n:
                 raise ValueError(f"generator index {g} of {group_id!r} outside 0..{n - 1}")
         self.generator_indices = tuple(generator_indices)
-        self._cache: Dict[str, object] = {}
+        self._cache: Dict[object, object] = {}
 
     def _set_table(self, t: np.ndarray) -> None:
         t.setflags(write=False)
@@ -314,11 +314,12 @@ class FiniteGroup:
     def name_of(self, index: int) -> str:
         if self._names is not None:
             return self._names[index]
-        if self._operands:  # from lists, each made once, not one name at a time
-            last, prefix = self._operands[-1], self._prefix or self._prefix_names()
-            x, y = divmod(index, last.order)
-            names = last._names or last.element_names
-            return f"({prefix[x]},{y if names is None else names[y]})"
+        if self._operands:  # each operand's own name, read from its list if it has one
+            names, rest = [], index
+            for x in reversed(self._operands):
+                rest, i = divmod(rest, x.order)
+                names.append(x.name_of(i) if x._names is None else x._names[i])
+            return "(" * (len(names) - 1) + names.pop() + "".join(f",{y})" for y in reversed(names))
         if self._images is not None:  # a closure's image rows: (typecode, bytes)
             flat = memoryview(self._images[1]).cast(self._images[0])
             d = len(flat) // self.order

@@ -87,6 +87,27 @@ def test_a_dropped_group_leaves_no_group_behind(make, use, tmp_path, no_cyclic_g
     assert not_plain == []
 
 
+def arrays(value):
+    """Every numpy array in a cache value, through tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from arrays(v)
+
+
+@pytest.mark.parametrize("make", [permutation_closure, cayley_file, product, quotient_group],
+                         ids=lambda f: f.__name__)
+def test_every_array_a_cache_holds_is_read_only(make, tmp_path):
+    g = make(tmp_path)
+    check_all(g)
+    scan_group(g)
+    classalg.commutator_set_ids(g)
+    held = {k: list(arrays(v)) for k, v in g._cache.items()}
+    assert held["class_data"] and held["class_kernel"] and held["last_quotient"]
+    assert [k for k, found in held.items() if any(a.flags.writeable for a in found)] == []
+
+
 def test_one_quotient_alive_at_a_time(monkeypatch, no_cyclic_gc):
     g = build_group("prod(dihedral:4,dihedral:4)")
     build = classalg._coset_group  # what quotient() and the checkers' quotients are built by

@@ -135,6 +135,26 @@ def test_a_long_product_keeps_flat_operands_and_names_its_elements(text, fresh_b
     assert g.element_names == [g.name_of(i) for i in range(g.order)]
 
 
+CYCLE = "(" + " ".join(map(str, range(1, 4097))) + ")"  # the generator of cyclic:4096
+
+
+@pytest.mark.parametrize("spec, selector, index, name", [
+    ("prod(cyclic:4096,cyclic:2)", "b", 2, f"({CYCLE},())"),
+    ("prod(cyclic:2,cyclic:4096)", "a", 1, f"((),{CYCLE})"),
+], ids=["closure first", "closure last"])
+def test_a_closure_operand_is_named_one_element_at_a_time(spec, selector, index, name, fresh_builds, monkeypatch,
+                                                          capsys):
+    """A product reads each operand's own name: a closure operand makes the
+    cycle strings it is asked for, not its whole name list."""
+    monkeypatch.setenv("CLASSPROD_MAX_ORDER", "8192")
+    assert main(["product", "--group", spec, "-a", "1", "-b", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)[selector] == {"index": index, "name": name, "class_size": 1}
+    (g,) = fresh_builds.values()
+    closure = next(x for x in g._operands if x.order == 4096)
+    assert closure._names is None and closure._images is not None
+    assert g._names is None and g._prefix is None
+
+
 @pytest.mark.parametrize(
     "argv",
     [
