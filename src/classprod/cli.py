@@ -10,6 +10,7 @@ equal-centralizer requirement was violated under --require-equal-centralizers.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -34,6 +35,9 @@ from .classalg import (
 from .constructions import build_group, odd_eta1_witness
 from .errors import ClassprodError, HypothesisViolated
 from .group import Element, FiniteGroup, save_cayley
+
+# A CLI run is short: move the objects its imports made out of every collection, the one at exit too.
+gc.freeze()
 
 _WORD_TOKEN = re.compile(r"g([0-9]+)(?:\^(-?[0-9]+))?")
 

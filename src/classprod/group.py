@@ -112,14 +112,14 @@ class FiniteGroup:
     ordered by construction: breadth-first discovery order for generator
     input, canonicalized table order (identity moved to the front) for raw
     table input. name_of(i) is the i-th of element_names, or str(i) when
-    there are none; a closure keeps its elements' images instead and makes
-    a name, their cycle string, only when one is read, and a product makes
-    "(x,y)" in the same way, from each operand's own name, read from its
-    list when it has one. Instances are treated as immutable; derived data
-    such as conjugacy classes is cached on first use under _cache, which
-    classalg alone fills, each array read-only, with ints, bools, numpy
-    arrays and containers of those only, so that no cached value refers
-    back to a group.
+    there are none; a closure keeps its elements' images instead and makes a
+    name, their cycle string, only when one is read, keeping each it makes,
+    and a product makes "(x,y)" in the same way, from each operand's own
+    name, read from its list when it has one. Instances are treated as
+    immutable; derived data such as conjugacy classes is cached on first use
+    under _cache, which classalg alone fills, each array read-only, with
+    ints, bools, numpy arrays and containers of those only, so that no
+    cached value refers back to a group.
     """
 
     identity_index = 0
@@ -131,6 +131,7 @@ class FiniteGroup:
         "inverse_table",
         "_names",
         "_images",
+        "_made",
         "_operands",
         "_prefix",
         "named_elements",
@@ -254,6 +255,7 @@ class FiniteGroup:
             raise ValueError(f"expected {n} element names, got {len(element_names)}")
         self._names = element_names
         self._images: Optional[Tuple[str, bytes]] = None
+        self._made: Dict[int, str] = {}
         self._operands: Tuple[FiniteGroup, ...] = ()
         self._prefix: Optional[List[str]] = None
         self.named_elements = dict(named_elements or {})
@@ -320,10 +322,13 @@ class FiniteGroup:
                 rest, i = divmod(rest, x.order)
                 names.append(x.name_of(i) if x._names is None else x._names[i])
             return "(" * (len(names) - 1) + names.pop() + "".join(f",{y})" for y in reversed(names))
-        if self._images is not None:  # a closure's image rows: (typecode, bytes)
-            flat = memoryview(self._images[1]).cast(self._images[0])
-            d = len(flat) // self.order
-            return cycle_string_of(flat[index * d : index * d + d].tolist())
+        if self._images is not None:  # a closure's image rows: (typecode, bytes); each string made once
+            name = self._made.get(index)
+            if name is None:
+                flat = memoryview(self._images[1]).cast(self._images[0])
+                d = len(flat) // self.order
+                name = self._made[index] = cycle_string_of(flat[index * d : index * d + d].tolist())
+            return name
         return str(index)
 
     def index_of_name(self, name: str) -> Optional[int]:
@@ -373,7 +378,7 @@ class FiniteGroup:
         if self._names is None:
             if self._images is not None:
                 self._names = [self.name_of(i) for i in range(self.order)]
-                self._images = None
+                self._images, self._made = None, {}
             elif self._operands:
                 last = self._operands[-1]
                 self._names = _joined(self._prefix_names(), last.element_names or list(map(str, range(last.order))))

@@ -370,15 +370,18 @@ def _product_formula_rhs(group: FiniteGroup, a: int,
     owner[r]; the rows of pair p are the members of [b[p],G] in turn.
     """
     t, inv, cid = group.np_table(), _inverse_array(group), class_id_array(group)
+    n, flat = group.order, t.ravel()  # x*y is flat[x*n + y], in int32 as n*n - 1 < 2**31
     _, _, order, starts, sizes = _class_data(group)
     i, j = cid[a], cid[b]
     a_b = t[t[inv[b], a], b]
-    left = t[t[a, b][:, None], t[inv[a_b][:, None], order[starts[i] : starts[i] + sizes[i]]]]
-    wide = len(b) * group.order >= 2**31  # the keys owner*n + element need 64 bits
+    c_i = order[starts[i] : starts[i] + sizes[i]].astype(np.int32)
+    commutators = flat.take(inv[a_b].astype(np.int32)[:, None] * n + c_i)  # [a^b,G] for each pair
+    left = flat.take(t[a, b].astype(np.int32)[:, None] * n + commutators)
+    wide = len(b) * n >= 2**31  # the keys owner*n + element need 64 bits
     owner = np.repeat(np.arange(len(b), dtype=np.int64 if wide else np.int32), sizes[j])
     ends = np.cumsum(sizes[j])
     members = order[np.repeat(starts[j] - ends + sizes[j], sizes[j]) + np.arange(len(owner))]
-    return owner, t[left[owner], t[inv[b][owner], members][:, None]]
+    return owner, flat.take(left[owner].astype(np.int32) * n + t[inv[b][owner], members][:, None])
 
 
 def _product_formula_holds(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:

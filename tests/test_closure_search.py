@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bruteforce as bf
-from classprod import OrderExceeded, Permutation, build_group, constructions
+from classprod import ElementSet, OrderExceeded, Permutation, build_group, constructions, quotient
 from classprod import group as group_module
 from classprod.group import close_from_generators
 
@@ -80,6 +80,16 @@ def test_names_are_made_one_at_a_time_on_read(spec, degree, fresh_builds, monkey
             rks = g.mul(g.power(r, k), g.generator_indices[1])
             assert g.name_of(rks) == (permutation_power(rot, k) * refl).cycle_string()
     assert len(made) == (6 if len(g.generator_indices) == 1 else 12)
+
+
+def test_a_closure_operand_makes_each_name_once(fresh_builds, monkeypatch):
+    made = []
+    name = group_module.cycle_string_of
+    monkeypatch.setattr(group_module, "cycle_string_of", lambda images: made.append(1) or name(images))
+    g = build_group("prod(dihedral:8,dihedral:8,dihedral:8)")
+    q = quotient(g, ElementSet.from_indices(g, [0])).quotient  # names every coset, one name_of each
+    assert 0 < len(made) <= 48  # 16 strings for each of the three operands
+    assert q.element_names == [f"[{x}]" for x in g.element_names]
 
 
 def test_wide_level_is_formed_in_blocks():
